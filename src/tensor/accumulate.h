@@ -69,16 +69,10 @@ class ReductionPlan {
 
   [[nodiscard]] AccumOrder order() const noexcept { return order_; }
   [[nodiscard]] int lanes() const noexcept { return lanes_; }
+  /// The order in which lane partials are added: this launch's permutation
+  /// for kShardedShuffled, the identity otherwise.
   [[nodiscard]] std::span<const std::uint32_t> combine_order() const noexcept {
     return combine_order_;
-  }
-
-  /// Combines per-lane partial sums (size == lanes()) exactly as the full
-  /// reductions do — exposed so the blocked GEMM fast path can reproduce the
-  /// reference combine bit-for-bit from externally computed lane partials.
-  /// `partials` is clobbered for kPairwiseTree (in-place tree).
-  [[nodiscard]] float combine_partials(std::span<float> partials) const noexcept {
-    return combine(partials);
   }
 
  private:

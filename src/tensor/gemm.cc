@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <vector>
 
 #include "runtime/thread_pool.h"
@@ -11,7 +12,7 @@ namespace nnr::tensor {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Blocked fast path.
+// Blocked engine, used for every accumulation order.
 //
 // The engine mirrors the reference reduction semantics exactly:
 //   - k is partitioned into the plan's lane chunks via lane_range (shared
@@ -19,28 +20,47 @@ namespace {
 //   - within a chunk each output element is accumulated in unrolled_dot's
 //     order: four sub-accumulators over k-offsets {0,1,2,3} mod 4 combined
 //     as (acc0 + acc1) + (acc2 + acc3), then a sequential tail,
-//   - lane partials are combined by ReductionPlan::combine_partials.
+//   - lane partials are combined in ReductionPlan::combine's per-element
+//     sequence: the fixed balanced tree for kPairwiseTree, otherwise a zero
+//     start plus one add per lane in plan.combine_order() (the identity for
+//     kSequential, this launch's shuffled retirement order for
+//     kShardedShuffled).
 // What changes is only the *schedule*: a kMr x kNr register tile shares every
 // A load across kNr columns and every packed-B load across kMr rows, and
-// host threads split the output rows. Neither affects any per-element
-// floating-point order, so the result is bitwise equal to the reference
-// loop for the deterministic accumulation orders.
+// host threads split the output into (panel group, row chunk) tasks. Neither
+// affects any per-element floating-point order, so the result is bitwise
+// equal to the reference loop. The shuffle itself is drawn once per launch
+// by make_plan, before dispatch, so the scheduler-entropy stream advances
+// the same way under either kernel.
 // ---------------------------------------------------------------------------
 
 constexpr std::int64_t kMr = 4;  // output rows per register tile
 constexpr std::int64_t kNr = 8;  // output cols per register tile
 constexpr std::int64_t kTileElems = kMr * kNr;
 
-// Packs the kNr B rows of block `jb` into panel layout dst[kk * kNr + jj] so
-// the micro-kernel's inner loop loads one contiguous vector per k step.
-// Pure data movement — no floating-point arithmetic.
-void pack_b_block(const float* pb, std::int64_t k, std::int64_t jb,
-                  float* dst) noexcept {
-  const float* b0 = pb + jb * kNr * k;
+// B operand of one launch: element (kk, j) of the contraction sits at
+// data[j * col_stride + kk * k_stride]. B stored [n, k] has col_stride = k,
+// k_stride = 1; B stored [k, n] has col_stride = 1, k_stride = n.
+struct BOperand {
+  const float* data;
+  std::int64_t col_stride;
+  std::int64_t k_stride;
+};
+
+// Packs output columns [j0, j0 + nr) of B into panel layout
+// dst[kk * kNr + jj] so the micro-kernel's inner loop loads one contiguous
+// vector per k step. Columns nr..kNr-1 are zero-filled: a partial last panel
+// then runs through the same micro-kernel, and its padded columns are never
+// stored. Pure data movement — no floating-point arithmetic.
+void pack_b_panel(const BOperand& b, std::int64_t k, std::int64_t j0,
+                  std::int64_t nr, float* dst) noexcept {
+  const float* b0 = b.data + j0 * b.col_stride;
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    for (std::int64_t jj = 0; jj < kNr; ++jj) {
-      dst[kk * kNr + jj] = b0[jj * k + kk];
-    }
+    const float* src = b0 + kk * b.k_stride;
+    float* row = dst + kk * kNr;
+    std::int64_t jj = 0;
+    for (; jj < nr; ++jj) row[jj] = src[jj * b.col_stride];
+    for (; jj < kNr; ++jj) row[jj] = 0.0F;
   }
 }
 
@@ -48,9 +68,9 @@ void pack_b_block(const float* pb, std::int64_t k, std::int64_t jb,
 // reproducing unrolled_dot's accumulation order independently per element.
 // `a` is the tile's first A row (rows `lda` apart); `bp` the packed panel.
 //
-// On GNU-compatible compilers the kNr-wide column axis is expressed with
-// vector extensions: one mul + one add per lane, no horizontal operations,
-// so every output element still sees exactly the scalar sequence
+// The kNr-wide column axis is one 8-lane vector: one mul + one add per lane,
+// no horizontal operations, so every output element still sees exactly the
+// scalar sequence
 //   acc_u += a[i+u] * b[i+u]  (u = i mod 4), (acc0+acc1)+(acc2+acc3), tail.
 // Lane arithmetic is IEEE float32 identical to the scalar ops — the
 // vectorization changes which elements are computed together, never the
@@ -58,18 +78,30 @@ void pack_b_block(const float* pb, std::int64_t k, std::int64_t jb,
 // project-wide via -ffp-contract=off, so mul+add stays two roundings in
 // both the reference and the blocked engine.)
 #if defined(__GNUC__) || defined(__clang__)
-#define NNR_GEMM_V8 1
 using v8f = float __attribute__((vector_size(8 * sizeof(float))));
+#else
+// Portable stand-in for the GNU vector type: the same lane-wise operations.
+struct v8f {
+  float lane[8] = {};
+  friend v8f operator+(v8f x, const v8f& y) noexcept {
+    for (int j = 0; j < 8; ++j) x.lane[j] += y.lane[j];
+    return x;
+  }
+  friend v8f operator*(float s, v8f y) noexcept {
+    for (float& e : y.lane) e = s * e;
+    return y;
+  }
+  v8f& operator+=(const v8f& y) noexcept { return *this = *this + y; }
+};
+#endif
 
 inline v8f load8(const float* p) noexcept {
   v8f v;
-  __builtin_memcpy(&v, p, sizeof(v));  // unaligned, strict-aliasing safe
+  std::memcpy(&v, p, sizeof(v));  // unaligned, strict-aliasing safe
   return v;
 }
 
-inline void store8(float* p, v8f v) noexcept {
-  __builtin_memcpy(p, &v, sizeof(v));
-}
+inline void store8(float* p, v8f v) noexcept { std::memcpy(p, &v, sizeof(v)); }
 
 void micro_tile(const float* a, std::int64_t lda, const float* bp,
                 std::int64_t begin, std::int64_t end,
@@ -99,197 +131,179 @@ void micro_tile(const float* a, std::int64_t lda, const float* bp,
   }
   for (std::int64_t r = 0; r < kMr; ++r) store8(out + r * kNr, res[r]);
 }
-#else
-void micro_tile(const float* a, std::int64_t lda, const float* bp,
-                std::int64_t begin, std::int64_t end,
-                float out[kTileElems]) noexcept {
-  float acc[4][kTileElems] = {};
-  std::int64_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    for (int u = 0; u < 4; ++u) {
-      const float* brow = bp + (i + u) * kNr;
-      for (std::int64_t r = 0; r < kMr; ++r) {
-        const float av = a[r * lda + i + u];
-        float* accr = acc[u] + r * kNr;
-        for (std::int64_t jj = 0; jj < kNr; ++jj) {
-          accr[jj] += av * brow[jj];
-        }
-      }
-    }
-  }
-  for (std::int64_t e = 0; e < kTileElems; ++e) {
-    out[e] = (acc[0][e] + acc[1][e]) + (acc[2][e] + acc[3][e]);
-  }
-  for (; i < end; ++i) {
-    const float* brow = bp + i * kNr;
-    for (std::int64_t r = 0; r < kMr; ++r) {
-      const float av = a[r * lda + i];
-      float* outr = out + r * kNr;
-      for (std::int64_t jj = 0; jj < kNr; ++jj) {
-        outr[jj] += av * brow[jj];
-      }
-    }
-  }
-}
-#endif  // NNR_GEMM_V8
 
-// The seed kernel body, shared by gemm_nt_reference and the fallback paths.
-void gemm_nt_loop(const float* pa, const float* pb, float* pc, std::int64_t m,
-                  std::int64_t n, std::int64_t k,
-                  const ReductionPlan& plan) noexcept {
+// The seed kernel body: one reduce_dot_strided per output element. It defines
+// gemm_nt_reference and serves launches too small to amortize a panel pack.
+void gemm_loop(const float* pa, const BOperand& b, float* pc, std::int64_t m,
+               std::int64_t n, std::int64_t k,
+               const ReductionPlan& plan) noexcept {
   for (std::int64_t i = 0; i < m; ++i) {
     const float* row_a = pa + i * k;
     for (std::int64_t j = 0; j < n; ++j) {
-      pc[i * n + j] = plan.reduce_dot_strided(row_a, pb + j * k, k, 1);
+      pc[i * n + j] = plan.reduce_dot_strided(row_a, b.data + j * b.col_stride,
+                                              k, b.k_stride);
     }
   }
 }
 
-void gemm_nt_blocked(const float* pa, const float* pb, float* pc,
-                     std::int64_t m, std::int64_t n, std::int64_t k,
-                     const ReductionPlan& plan) {
+// Lane partials of one tile (lane l at lane_buf[l * kTileElems]) combined
+// into `tile` in ReductionPlan::combine's per-element order. Elements never
+// mix, so this is the scalar combine bit-for-bit — just batched.
+void combine_lanes(const ReductionPlan& plan, float* lane_buf,
+                   float tile[kTileElems]) noexcept {
+  if (plan.order() == AccumOrder::kPairwiseTree) {
+    // The fixed balanced tree: partials[l] += partials[l + half] per
+    // element, level by level.
+    int nl = plan.lanes();
+    while (nl > 1) {
+      const int half = (nl + 1) / 2;
+      for (int l = 0; l + half < nl; ++l) {
+        float* dst = lane_buf + static_cast<std::int64_t>(l) * kTileElems;
+        const float* addend =
+            lane_buf + static_cast<std::int64_t>(l + half) * kTileElems;
+        for (std::int64_t e = 0; e < kTileElems; ++e) dst[e] += addend[e];
+      }
+      nl = half;
+    }
+    std::copy(lane_buf, lane_buf + kTileElems, tile);
+    return;
+  }
+  std::fill(tile, tile + kTileElems, 0.0F);
+  for (const std::uint32_t l : plan.combine_order()) {
+    const float* partial = lane_buf + static_cast<std::int64_t>(l) * kTileElems;
+    for (std::int64_t e = 0; e < kTileElems; ++e) tile[e] += partial[e];
+  }
+}
+
+// Floats of packed B one task keeps resident (128 KiB): small enough for L2,
+// large enough that a small B packs whole and A streams once per launch.
+constexpr std::int64_t kPackBudget = 32 * 1024;
+
+void gemm_blocked(const float* pa, const BOperand& b, float* pc,
+                  std::int64_t m, std::int64_t n, std::int64_t k,
+                  const ReductionPlan& plan) {
   runtime::ThreadPool& pool = runtime::ThreadPool::global();
-  const std::int64_t jblocks = n / kNr;
   const int lanes = plan.lanes();
-
-  // Pack all full B panels once; every row block reads them. The buffer is
-  // grow-only thread-local storage (keyed by the *calling* thread — workers
-  // write through the captured pointer), so steady-state training does no
-  // per-launch allocation here. GEMMs never nest, and concurrent calls from
-  // different threads get different buffers.
-  static thread_local std::vector<float> tl_packed;
-  const std::size_t pack_size = static_cast<std::size_t>(jblocks * k * kNr);
-  if (tl_packed.size() < pack_size) tl_packed.resize(pack_size);
-  float* packed_data = tl_packed.data();
-  pool.parallel_for(0, jblocks, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t jb = b0; jb < b1; ++jb) {
-      pack_b_block(pb, k, jb, packed_data + jb * k * kNr);
-    }
-  });
-
+  const std::int64_t panels = (n + kNr - 1) / kNr;
   const std::int64_t row_blocks = (m + kMr - 1) / kMr;
-  pool.parallel_for(0, row_blocks, 1, [&](std::int64_t rb0, std::int64_t rb1) {
-    // Per-worker lane staging: lane partials for one tile, plus a gather
-    // buffer handed to combine_partials per element.
-    std::vector<float> lane_buf;
-    std::vector<float> lane_tmp;
-    if (lanes > 1) {
-      lane_buf.resize(static_cast<std::size_t>(lanes) * kTileElems);
-      lane_tmp.resize(static_cast<std::size_t>(lanes));
-    }
-    for (std::int64_t rb = rb0; rb < rb1; ++rb) {
-      const std::int64_t i0 = rb * kMr;
-      const std::int64_t mr = std::min<std::int64_t>(kMr, m - i0);
-      if (mr == kMr) {
-        float tile[kTileElems];
-        for (std::int64_t jb = 0; jb < jblocks; ++jb) {
-          const float* bp = packed_data + jb * k * kNr;
+  // A task packs a group of consecutive panels (as many as fit the budget,
+  // at least one) and runs its chunk of row blocks against them. Rows split
+  // only as far as needed to give every pool thread a few tasks.
+  const std::int64_t group = std::clamp<std::int64_t>(
+      kPackBudget / std::max<std::int64_t>(1, k * kNr), 1, panels);
+  const std::int64_t groups = (panels + group - 1) / group;
+  const std::int64_t chunks = std::min(
+      row_blocks, (4 * std::int64_t{pool.size()} + groups - 1) / groups);
+
+  // Tasks run group-major, so a worker that receives consecutive tasks (or
+  // the whole range, when this launch runs inline inside a pool worker)
+  // packs each group once.
+  pool.parallel_for(0, groups * chunks, 1, [&](std::int64_t t0,
+                                               std::int64_t t1) {
+    // Per-thread, grow-only scratch (bodies never nest): the packed group,
+    // a zero-padded copy of a short last row block, and one tile's lane
+    // partials.
+    static thread_local std::vector<float> tl_scratch;
+    const std::int64_t panel_elems = k * kNr;
+    const std::size_t need = static_cast<std::size_t>(
+        (group * kNr + kMr) * k + (lanes > 1 ? lanes * kTileElems : 0));
+    if (tl_scratch.size() < need) tl_scratch.resize(need);
+    float* packed = tl_scratch.data();
+    float* a_pad = packed + group * panel_elems;
+    float* lane_buf = a_pad + kMr * k;
+
+    std::int64_t packed_group = -1;
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t g = t / chunks;
+      const std::int64_t jb_begin = g * group;
+      const std::int64_t jb_end = std::min(panels, jb_begin + group);
+      if (g != packed_group) {
+        for (std::int64_t jb = jb_begin; jb < jb_end; ++jb) {
+          pack_b_panel(b, k, jb * kNr, std::min(kNr, n - jb * kNr),
+                       packed + (jb - jb_begin) * panel_elems);
+        }
+        packed_group = g;
+      }
+      const std::int64_t chunk = t % chunks;
+      for (std::int64_t rb = chunk * row_blocks / chunks;
+           rb < (chunk + 1) * row_blocks / chunks; ++rb) {
+        const std::int64_t i0 = rb * kMr;
+        const std::int64_t mr = std::min(kMr, m - i0);
+        const float* a = pa + i0 * k;
+        if (mr < kMr) {
+          // Short last row block: zero rows stand in for the missing ones,
+          // and their outputs are never stored.
+          std::copy(a, a + mr * k, a_pad);
+          std::fill(a_pad + mr * k, a_pad + kMr * k, 0.0F);
+          a = a_pad;
+        }
+        for (std::int64_t jb = jb_begin; jb < jb_end; ++jb) {
+          const float* panel = packed + (jb - jb_begin) * panel_elems;
+          float tile[kTileElems];
           if (lanes == 1) {
-            micro_tile(pa + i0 * k, k, bp, 0, k, tile);
+            micro_tile(a, k, panel, 0, k, tile);
           } else {
             for (int l = 0; l < lanes; ++l) {
               const auto [cb, ce] = lane_range(l, lanes, k);
-              micro_tile(pa + i0 * k, k, bp, cb, ce,
-                         lane_buf.data() + static_cast<std::int64_t>(l) *
-                                               kTileElems);
+              micro_tile(a, k, panel, cb, ce,
+                         lane_buf + std::int64_t{l} * kTileElems);
             }
-            if (plan.order() == AccumOrder::kPairwiseTree) {
-              // The fixed balanced tree from ReductionPlan::combine, applied
-              // to all tile elements at once: partials[l] += partials[l+half]
-              // per element, level by level. Elements never mix, so this is
-              // the scalar tree bit-for-bit — just batched.
-              int nl = lanes;
-              while (nl > 1) {
-                const int half = (nl + 1) / 2;
-                for (int l = 0; l + half < nl; ++l) {
-                  float* dst = lane_buf.data() +
-                               static_cast<std::int64_t>(l) * kTileElems;
-                  const float* addend =
-                      lane_buf.data() +
-                      static_cast<std::int64_t>(l + half) * kTileElems;
-                  for (std::int64_t e = 0; e < kTileElems; ++e) {
-                    dst[e] += addend[e];
-                  }
-                }
-                nl = half;
-              }
-              for (std::int64_t e = 0; e < kTileElems; ++e) {
-                tile[e] = lane_buf[static_cast<std::size_t>(e)];
-              }
-            } else {
-              // Generic (future accumulation orders): gather each element's
-              // lane partials and delegate to the reference combine.
-              for (std::int64_t e = 0; e < kTileElems; ++e) {
-                for (int l = 0; l < lanes; ++l) {
-                  lane_tmp[static_cast<std::size_t>(l)] =
-                      lane_buf[static_cast<std::size_t>(l) * kTileElems +
-                               static_cast<std::size_t>(e)];
-                }
-                tile[e] = plan.combine_partials(lane_tmp);
-              }
-            }
+            combine_lanes(plan, lane_buf, tile);
           }
-          for (std::int64_t r = 0; r < kMr; ++r) {
-            float* crow = pc + (i0 + r) * n + jb * kNr;
-            for (std::int64_t jj = 0; jj < kNr; ++jj) {
-              crow[jj] = tile[r * kNr + jj];
-            }
+          const std::int64_t j0 = jb * kNr;
+          const std::int64_t nr = std::min(kNr, n - j0);
+          for (std::int64_t r = 0; r < mr; ++r) {
+            std::copy(tile + r * kNr, tile + r * kNr + nr,
+                      pc + (i0 + r) * n + j0);
           }
-        }
-      }
-      // Column remainder (and whole short row blocks): the reference kernel
-      // per element — trivially bit-exact.
-      const std::int64_t j0 = (mr == kMr) ? jblocks * kNr : 0;
-      for (std::int64_t i = i0; i < i0 + mr; ++i) {
-        const float* row_a = pa + i * k;
-        for (std::int64_t j = j0; j < n; ++j) {
-          pc[i * n + j] = plan.reduce_dot_strided(row_a, pb + j * k, k, 1);
         }
       }
     }
   });
 }
 
-void check_gemm_shapes(const Tensor& a, const Tensor& b, const Tensor& c) {
+void gemm(const float* pa, const BOperand& b, float* pc, std::int64_t m,
+          std::int64_t n, std::int64_t k, const KernelPolicy& policy) {
+  // One plan per launch: the scheduler interleaving is drawn once and
+  // applied to every output element, then the next launch redraws it.
+  const ReductionPlan plan = policy.make_plan(k);
+  // With fewer outputs than one register tile, most of a padded tile would
+  // be wasted work. Both paths are bit-exact, so this is a pure perf choice.
+  if (m * n < kTileElems) {
+    gemm_loop(pa, b, pc, m, n, k, plan);
+  } else {
+    gemm_blocked(pa, b, pc, m, n, k, plan);
+  }
+}
+
+// A is [m, k] and C is [m, n]; B holds k x n elements in either layout.
+void check_gemm_shapes([[maybe_unused]] const Tensor& a,
+                       [[maybe_unused]] const Tensor& b,
+                       [[maybe_unused]] const Tensor& c,
+                       [[maybe_unused]] bool b_is_kn) {
   assert(a.shape().rank() == 2 && b.shape().rank() == 2 &&
          c.shape().rank() == 2);
-  assert(b.shape()[1] == a.shape()[1]);
-  assert(c.shape()[0] == a.shape()[0] && c.shape()[1] == b.shape()[0]);
-  (void)a;
-  (void)b;
-  (void)c;
+  assert(b.shape()[b_is_kn ? 0 : 1] == a.shape()[1]);
+  assert(c.shape()[0] == a.shape()[0] &&
+         c.shape()[1] == b.shape()[b_is_kn ? 1 : 0]);
 }
 
 }  // namespace
 
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
              const KernelPolicy& policy) {
-  check_gemm_shapes(a, b, c);
-  const std::int64_t m = a.shape()[0];
+  check_gemm_shapes(a, b, c, /*b_is_kn=*/false);
   const std::int64_t k = a.shape()[1];
-  const std::int64_t n = b.shape()[0];
-
-  // One plan per kernel launch: the scheduler interleaving is drawn once and
-  // applied to every output element, then the next launch redraws it.
-  const ReductionPlan plan = policy.make_plan(k);
-
-  // The shuffled order keeps the seed loop so IMPL-noise semantics stay
-  // byte-identical; tiny problems skip the pack/tile overhead (the blocked
-  // engine is bit-exact either way, so this cutoff is a pure perf choice).
-  const bool tiny = m * n < 64 || n < kNr || k < 4;
-  if (plan.order() == AccumOrder::kShardedShuffled || tiny) {
-    gemm_nt_loop(a.raw(), b.raw(), c.raw(), m, n, k, plan);
-    return;
-  }
-  gemm_nt_blocked(a.raw(), b.raw(), c.raw(), m, n, k, plan);
+  gemm(a.raw(), {.data = b.raw(), .col_stride = k, .k_stride = 1}, c.raw(),
+       a.shape()[0], b.shape()[0], k, policy);
 }
 
 void gemm_nt_reference(const Tensor& a, const Tensor& b, Tensor& c,
                        const KernelPolicy& policy) {
-  check_gemm_shapes(a, b, c);
-  const ReductionPlan plan = policy.make_plan(a.shape()[1]);
-  gemm_nt_loop(a.raw(), b.raw(), c.raw(), a.shape()[0], b.shape()[0],
-               a.shape()[1], plan);
+  check_gemm_shapes(a, b, c, /*b_is_kn=*/false);
+  const std::int64_t k = a.shape()[1];
+  gemm_loop(a.raw(), {.data = b.raw(), .col_stride = k, .k_stride = 1},
+            c.raw(), a.shape()[0], b.shape()[0], k, policy.make_plan(k));
 }
 
 void transpose(const Tensor& in, Tensor& out) {
@@ -301,8 +315,8 @@ void transpose(const Tensor& in, Tensor& out) {
   float* pout = out.raw();
 
   // Square tiles keep both the row-major reads and the column-strided writes
-  // inside one cache footprint; the large patch x pixels transposes in
-  // Conv2D::backward otherwise touch a fresh line per element.
+  // inside one cache footprint; a large transpose otherwise touches a fresh
+  // line per element.
   constexpr std::int64_t kTile = 32;
   const std::int64_t row_tiles = (rows + kTile - 1) / kTile;
   runtime::ThreadPool::global().parallel_for(

@@ -36,14 +36,14 @@ struct KernelPolicy {
 
 /// C[M, N] = A[M, K] · B[N, K]^T. C must be preallocated with shape {M, N}.
 ///
-/// Dispatch: when the policy yields a fixed per-element reduction order
-/// (kSequential / kPairwiseTree), a register-blocked, B-panel-packed,
-/// host-threaded engine runs — bitwise identical to gemm_nt_reference by
-/// construction (same lane partition, same unrolled accumulator order, same
-/// lane combine; threading only distributes whole output elements). The
-/// kShardedShuffled order runs the reference loop unchanged so IMPL-noise
-/// semantics (one shuffle draw per launch applied to every element) are
-/// untouched.
+/// Dispatch: every accumulation order runs one register-blocked, B-panel-
+/// packed, host-threaded engine, bitwise identical to gemm_nt_reference by
+/// construction — same lane partition, same unrolled accumulator order, same
+/// per-element lane combine (the fixed tree, or this launch's shuffled lane
+/// order); threading only distributes whole output elements. The shuffle is
+/// drawn once per launch before dispatch, so the entropy stream advances as
+/// under the reference loop. Launches with fewer outputs than one register
+/// tile run the reference loop itself.
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
              const KernelPolicy& policy);
 

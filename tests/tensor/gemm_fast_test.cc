@@ -1,12 +1,12 @@
 // Determinism suite for the blocked GEMM engine and the lowering fast paths.
 //
-// The contract under test: for the fixed accumulation orders (kSequential,
-// kPairwiseTree) the blocked+packed+threaded engine must be *bitwise*
-// identical to the seed triple loop (gemm_nt_reference), for every shape —
-// including k = 0, k below the unroll width, and m/n that are not multiples
-// of the register tile — and for every host thread count. The shuffled order
-// must keep the seed loop's behaviour, including its entropy-stream
-// consumption (one shuffle draw per launch).
+// The contract under test: for every accumulation order the blocked, packed,
+// threaded engine must be *bitwise* identical to the seed triple loop
+// (gemm_nt_reference), for every shape — including k = 0, k below the unroll
+// width, and m/n that are not multiples of the register tile — and for every
+// host thread count. Under the shuffled order it must also consume the
+// scheduler-entropy stream exactly as the seed loop does (one shuffle draw
+// per launch), so paired streams stay in lockstep.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -40,69 +40,63 @@ struct GemmCase {
   std::int64_t m, n, k;
 };
 
-// Awkward shapes on purpose: k = 0, k below the 4-wide unroll, k with a
-// remainder, m/n off the 4x8 tile grid, and one comfortably blocked shape.
+// Awkward shapes on purpose: k = 0 (below and above the tile-sized cutoff),
+// k below the 4-wide unroll, k with a remainder, m/n off the 4x8 tile grid,
+// row and column vectors, and one comfortably blocked shape.
 const GemmCase kCases[] = {
-    {1, 1, 0},  {3, 5, 1},   {4, 8, 3},    {5, 7, 5},    {16, 24, 32},
-    {13, 17, 129}, {33, 9, 257}, {64, 64, 64}, {31, 130, 200},
+    {1, 1, 0},     {8, 8, 0},    {3, 5, 1},    {4, 8, 3},
+    {5, 7, 5},     {16, 24, 32}, {13, 17, 129}, {33, 9, 257},
+    {64, 64, 64},  {31, 130, 200}, {1, 40, 300}, {300, 1, 9},
 };
 
-TEST(GemmFastPath, BitwiseEqualToReferenceAllDeterministicOrders) {
+TEST(GemmFastPath, BitwiseEqualToReferenceAllOrders) {
   const AccumOrder orders[] = {AccumOrder::kSequential,
-                               AccumOrder::kPairwiseTree};
+                               AccumOrder::kPairwiseTree,
+                               AccumOrder::kShardedShuffled};
   const int core_counts[] = {0, 512, 5120, 100000};  // 1 .. many lanes
   for (const GemmCase& c : kCases) {
     const Tensor a = random_tensor(Shape{c.m, c.k}, 11 + c.m);
     const Tensor b = random_tensor(Shape{c.n, c.k}, 23 + c.n);
     for (AccumOrder order : orders) {
       for (int cores : core_counts) {
-        const KernelPolicy policy{
-            .order = order, .cuda_cores = cores, .entropy = nullptr};
+        // Paired entropy streams: identical per-launch shuffles, and the
+        // streams must still agree after the launch.
+        rng::Generator entropy_fast(99 + c.k);
+        rng::Generator entropy_ref(99 + c.k);
         Tensor fast(Shape{c.m, c.n});
         Tensor ref(Shape{c.m, c.n});
-        gemm_nt(a, b, fast, policy);
-        gemm_nt_reference(a, b, ref, policy);
+        gemm_nt(a, b, fast,
+                {.order = order, .cuda_cores = cores, .entropy = &entropy_fast});
+        gemm_nt_reference(
+            a, b, ref,
+            {.order = order, .cuda_cores = cores, .entropy = &entropy_ref});
         expect_bitwise_equal(fast, ref, "gemm fast path");
+        ASSERT_EQ(entropy_fast.next_u32(), entropy_ref.next_u32())
+            << "entropy streams out of lockstep, m=" << c.m << " n=" << c.n
+            << " k=" << c.k << " cores=" << cores;
       }
     }
   }
 }
 
-TEST(GemmFastPath, ShuffledOrderKeepsSeedSemanticsAndEntropyStream) {
-  const Tensor a = random_tensor(Shape{12, 300}, 31);
-  const Tensor b = random_tensor(Shape{16, 300}, 37);
-  rng::Generator entropy_fast(99);
-  rng::Generator entropy_ref(99);
-  const KernelPolicy fast_policy{.order = AccumOrder::kShardedShuffled,
-                                 .cuda_cores = 5120,
-                                 .entropy = &entropy_fast};
-  const KernelPolicy ref_policy{.order = AccumOrder::kShardedShuffled,
-                                .cuda_cores = 5120,
-                                .entropy = &entropy_ref};
-  Tensor fast(Shape{12, 16});
-  Tensor ref(Shape{12, 16});
-  gemm_nt(a, b, fast, fast_policy);
-  gemm_nt_reference(a, b, ref, ref_policy);
-  expect_bitwise_equal(fast, ref, "shuffled gemm");
-  // Identical per-launch shuffle consumption: the streams must stay in
-  // lockstep after the launch (the IMPL noise model depends on it).
-  EXPECT_EQ(entropy_fast.next_u32(), entropy_ref.next_u32());
-}
-
 TEST(GemmFastPath, InvariantToHostThreadCount) {
   const Tensor a = random_tensor(Shape{65, 200}, 41);
   const Tensor b = random_tensor(Shape{130, 200}, 43);
-  const KernelPolicy policy{.order = AccumOrder::kPairwiseTree,
-                            .cuda_cores = 5120,
-                            .entropy = nullptr};
-  runtime::ThreadPool::set_global_threads(1);
-  Tensor c1(Shape{65, 130});
-  gemm_nt(a, b, c1, policy);
-  runtime::ThreadPool::set_global_threads(4);
-  Tensor c4(Shape{65, 130});
-  gemm_nt(a, b, c4, policy);
-  runtime::ThreadPool::set_global_threads(0);  // restore env default
-  expect_bitwise_equal(c1, c4, "gemm across NNR_THREADS");
+  for (AccumOrder order :
+       {AccumOrder::kPairwiseTree, AccumOrder::kShardedShuffled}) {
+    rng::Generator entropy1(7);
+    rng::Generator entropy4(7);
+    runtime::ThreadPool::set_global_threads(1);
+    Tensor c1(Shape{65, 130});
+    gemm_nt(a, b, c1,
+            {.order = order, .cuda_cores = 5120, .entropy = &entropy1});
+    runtime::ThreadPool::set_global_threads(4);
+    Tensor c4(Shape{65, 130});
+    gemm_nt(a, b, c4,
+            {.order = order, .cuda_cores = 5120, .entropy = &entropy4});
+    runtime::ThreadPool::set_global_threads(0);  // restore env default
+    expect_bitwise_equal(c1, c4, "gemm across NNR_THREADS");
+  }
 }
 
 TEST(TransposeTiled, MatchesNaiveOnOddShapes) {
