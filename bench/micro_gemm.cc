@@ -1,8 +1,8 @@
 // Micro benchmarks for the tensor fast path: GEMM (blocked engine vs the
-// seed reference loop), transpose, im2col, and a Conv2D forward/backward
-// step at paper-relevant shapes. Emits BENCH_tensor.json (path = argv[1],
-// default ./BENCH_tensor.json) so the repo's perf trajectory is recorded and
-// regressions are visible in CI.
+// seed reference loop, per accumulation order and B layout), transpose,
+// im2col, and a Conv2D forward/backward step at paper-relevant shapes.
+// Emits BENCH_tensor.json (path = argv[1], default ./BENCH_tensor.json) so
+// the repo's perf trajectory is recorded and regressions are visible in CI.
 //
 // NNR_QUICK shrinks shapes and repetitions to smoke-test scale.
 // NNR_THREADS sizes the host pool; the thread-scaling rows resize it
@@ -100,11 +100,15 @@ int main(int argc, char** argv) {
   const int reps = quick ? 2 : 10;
   std::vector<Row> rows;
 
+  nnr::rng::Generator entropy(8);
   const KernelPolicy seq{
       .order = AccumOrder::kSequential, .cuda_cores = 0, .entropy = nullptr};
   const KernelPolicy tree{.order = AccumOrder::kPairwiseTree,
                           .cuda_cores = 5120,
                           .entropy = nullptr};
+  const KernelPolicy shuffled{.order = AccumOrder::kShardedShuffled,
+                              .cuda_cores = 5120,
+                              .entropy = &entropy};
 
   // --- GEMM: blocked engine vs seed loop, single thread. -------------------
   {
@@ -113,35 +117,48 @@ int main(int argc, char** argv) {
     const Tensor b = random_tensor(Shape{d, d}, 2);
     Tensor c(Shape{d, d});
     const double flops = 2.0 * static_cast<double>(d) * d * d;
+    const std::string shape = dims({d, d, d});
+    auto record = [&](const std::string& name, int threads, double ns,
+                      double ref_ns) {
+      rows.push_back({name, shape, threads, ns, flops / ns,
+                      ref_ns > 0.0 ? ref_ns / ns : 0.0});
+      std::printf("%-28s %s  %10.0f ns  %6.2f GFLOP/s  threads=%d",
+                  name.c_str(), shape.c_str(), ns, flops / ns, threads);
+      if (ref_ns > 0.0) std::printf("  (%.2fx vs reference)", ref_ns / ns);
+      std::printf("\n");
+    };
     nnr::runtime::ThreadPool::set_global_threads(1);
     struct {
       const char* name;
       const KernelPolicy* policy;
-    } variants[] = {{"gemm_seq", &seq}, {"gemm_tree", &tree}};
-    for (const auto& v : variants) {
-      const double ref_ns = ns_per_step(
+      double ref_ns;
+    } variants[] = {{"gemm_seq", &seq, 0.0},
+                    {"gemm_tree", &tree, 0.0},
+                    {"gemm_shuffled", &shuffled, 0.0}};
+    for (auto& v : variants) {
+      v.ref_ns = ns_per_step(
           [&] { nnr::tensor::gemm_nt_reference(a, b, c, *v.policy); }, reps);
       const double fast_ns = ns_per_step(
           [&] { nnr::tensor::gemm_nt(a, b, c, *v.policy); }, reps);
-      rows.push_back({std::string(v.name) + "_reference", dims({d, d, d}), 1,
-                      ref_ns, flops / ref_ns, 0.0});
-      rows.push_back({std::string(v.name) + "_blocked", dims({d, d, d}), 1,
-                      fast_ns, flops / fast_ns, ref_ns / fast_ns});
-      std::printf("%-24s %s  %10.0f ns  %6.2f GFLOP/s  (%.2fx vs reference)\n",
-                  v.name, dims({d, d, d}).c_str(), fast_ns, flops / fast_ns,
-                  ref_ns / fast_ns);
+      record(std::string(v.name) + "_reference", 1, v.ref_ns, 0.0);
+      record(std::string(v.name) + "_blocked", 1, fast_ns, v.ref_ns);
     }
 
-    // --- Thread scaling of the blocked engine. -----------------------------
-    for (int threads : {1, 2, 4}) {
+    // --- B read as [k, n] in place (the backward-pass lowering). -----------
+    // The speedup is against the same order's seed loop on [n, k] B.
+    record("gemm_nn_tree", 1,
+           ns_per_step([&] { nnr::tensor::gemm_nn(a, b, c, tree); }, reps),
+           variants[1].ref_ns);
+    record("gemm_nn_shuffled", 1,
+           ns_per_step([&] { nnr::tensor::gemm_nn(a, b, c, shuffled); }, reps),
+           variants[2].ref_ns);
+
+    // --- Thread scaling of the blocked engine (1 thread is gemm_tree_blocked).
+    for (int threads : {2, 4}) {
       nnr::runtime::ThreadPool::set_global_threads(threads);
-      const double ns = ns_per_step(
-          [&] { nnr::tensor::gemm_nt(a, b, c, tree); }, reps);
-      rows.push_back({"gemm_tree_blocked", dims({d, d, d}), threads, ns,
-                      flops / ns, 0.0});
-      std::printf("%-24s %s  %10.0f ns  %6.2f GFLOP/s  (threads=%d)\n",
-                  "gemm_tree_blocked", dims({d, d, d}).c_str(), ns, flops / ns,
-                  threads);
+      record("gemm_tree_blocked_threads" + std::to_string(threads), threads,
+             ns_per_step([&] { nnr::tensor::gemm_nt(a, b, c, tree); }, reps),
+             variants[1].ref_ns);
     }
     nnr::runtime::ThreadPool::set_global_threads(0);
   }
@@ -155,7 +172,7 @@ int main(int argc, char** argv) {
     const double ns =
         ns_per_step([&] { nnr::tensor::transpose(in, out); }, reps);
     rows.push_back({"transpose", dims({r, cdim}), 1, ns, 0.0, 0.0});
-    std::printf("%-24s %s  %10.0f ns\n", "transpose", dims({r, cdim}).c_str(),
+    std::printf("%-28s %s  %10.0f ns\n", "transpose", dims({r, cdim}).c_str(),
                 ns);
   }
 
@@ -177,7 +194,7 @@ int main(int argc, char** argv) {
     rows.push_back({"im2col_k3s1p1",
                     dims({batch, g.in_channels, g.in_h, g.in_w}), 1, ns, 0.0,
                     0.0});
-    std::printf("%-24s %s  %10.0f ns\n", "im2col_k3s1p1",
+    std::printf("%-28s %s  %10.0f ns\n", "im2col_k3s1p1",
                 dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), ns);
 
     nnr::hw::ExecutionContext hw_ctx(nnr::hw::v100(),
@@ -206,9 +223,9 @@ int main(int argc, char** argv) {
     rows.push_back({"conv2d_fwd_bwd",
                     dims({batch, g.in_channels, g.in_h, g.in_w}), 1, bwd_ns,
                     0.0, 0.0});
-    std::printf("%-24s %s  %10.0f ns\n", "conv2d_forward",
+    std::printf("%-28s %s  %10.0f ns\n", "conv2d_forward",
                 dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), fwd_ns);
-    std::printf("%-24s %s  %10.0f ns\n", "conv2d_fwd_bwd",
+    std::printf("%-28s %s  %10.0f ns\n", "conv2d_fwd_bwd",
                 dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), bwd_ns);
   }
 

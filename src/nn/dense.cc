@@ -53,10 +53,8 @@ Tensor Dense::backward(const Tensor& grad_output, RunContext& ctx) {
   Tensor& dy_t = ws.scratch(this, 0, Shape{out_features_, n});
   tensor::transpose(grad_output, dy_t);
   {
-    Tensor& x_t = ws.scratch(this, 1, Shape{in_features_, n});
-    tensor::transpose(input_cache_, x_t);
-    Tensor& dw = ws.scratch(this, 2, Shape{out_features_, in_features_});
-    tensor::gemm_nt(dy_t, x_t, dw, ctx.hw->matmul_policy());
+    Tensor& dw = ws.scratch(this, 1, Shape{out_features_, in_features_});
+    tensor::gemm_nn(dy_t, input_cache_, dw, ctx.hw->matmul_policy());
     tensor::axpy(1.0F, dw.data(), weight_.grad.data());
   }
 
@@ -68,10 +66,9 @@ Tensor Dense::backward(const Tensor& grad_output, RunContext& ctx) {
   }
 
   // dx[n, i] = sum_o dy[n, o] * W[o, i]
-  Tensor& w_t = ws.scratch(this, 3, Shape{in_features_, out_features_});
-  tensor::transpose(weight_.value, w_t);
   Tensor grad_input(Shape{n, in_features_});
-  tensor::gemm_nt(grad_output, w_t, grad_input, ctx.hw->matmul_policy());
+  tensor::gemm_nn(grad_output, weight_.value, grad_input,
+                  ctx.hw->matmul_policy());
   return grad_input;
 }
 

@@ -29,7 +29,7 @@ class Dense final : public Layer {
   Param weight_;  // [out, in]
   Param bias_;    // [out]
   tensor::Tensor input_cache_;  // [N, in]
-  // Transpose / gradient-staging scratch when the context has no arena.
+  // Gradient transpose / staging scratch when the context has no arena.
   tensor::Workspace fallback_ws_;
 };
 

@@ -107,7 +107,6 @@ Tensor DepthwiseConv2D::backward(const Tensor& grad_output, RunContext& ctx) {
   Tensor grad_input(Shape{n, channels_, geom_.in_h, geom_.in_w});
   Tensor dy_1p(Shape{1, pixels});
   Tensor dy_p1(Shape{pixels, 1});
-  Tensor cols_tp(Shape{taps, pixels});
   Tensor dw_row(Shape{1, taps});
   Tensor w_t1(Shape{taps, 1});
   Tensor dcols(Shape{pixels, taps});
@@ -131,8 +130,7 @@ Tensor DepthwiseConv2D::backward(const Tensor& grad_output, RunContext& ctx) {
     }
 
     // dW[c, t] = sum_p dy[p] * cols[p, t] — the batch*pixels contraction.
-    tensor::transpose(cols, cols_tp);
-    tensor::gemm_nt(dy_1p, cols_tp, dw_row, ctx.hw->matmul_policy());
+    tensor::gemm_nn(dy_1p, cols, dw_row, ctx.hw->matmul_policy());
     for (std::int64_t t = 0; t < taps; ++t) dw[c * taps + t] += dw_row.at(t);
 
     // db[c] = sum_p dy[p] — a pure reduction.

@@ -18,7 +18,7 @@
 
 namespace nnr::report {
 
-/// Markdown pipe-table rendering of a TextTable (for EXPERIMENTS.md).
+/// Markdown pipe-table rendering of a TextTable.
 [[nodiscard]] std::string render_markdown(const core::TextTable& table);
 
 /// JSON rendering: {"headers": [...], "rows": [{header: cell, ...}, ...]}.

@@ -66,49 +66,44 @@ float ReductionPlan::combine(std::span<float> partials) const noexcept {
 
 namespace {
 
-// Four-way unrolled partial sums. A lane models a thread's private register
-// accumulation; splitting it into four fixed interleaved sub-accumulators is
-// still a *fixed* order given the input layout (bitwise deterministic), it
-// just exposes instruction-level parallelism to the compiler. The final
-// sub-accumulator combine order is fixed too.
-inline float unrolled_sum(const float* v, std::int64_t begin,
+// Four-way unrolled partial dot of a[i] and b[i * b_stride] over
+// [begin, end). A lane models a thread's private register accumulation;
+// splitting it into four fixed interleaved sub-accumulators is still a
+// *fixed* order given the input layout (bitwise deterministic), it just
+// exposes instruction-level parallelism to the compiler. The final
+// sub-accumulator combine order is fixed too, and is the same for every
+// stride, so a strided dot (B read down a column of a [k, n] matrix) equals
+// the contiguous dot of the same values bit-for-bit.
+inline float unrolled_dot(const float* a, const float* b,
+                          std::int64_t b_stride, std::int64_t begin,
                           std::int64_t end) noexcept {
   float acc0 = 0.0F, acc1 = 0.0F, acc2 = 0.0F, acc3 = 0.0F;
   std::int64_t i = begin;
   for (; i + 4 <= end; i += 4) {
-    acc0 += v[i];
-    acc1 += v[i + 1];
-    acc2 += v[i + 2];
-    acc3 += v[i + 3];
+    acc0 += a[i] * b[i * b_stride];
+    acc1 += a[i + 1] * b[(i + 1) * b_stride];
+    acc2 += a[i + 2] * b[(i + 2) * b_stride];
+    acc3 += a[i + 3] * b[(i + 3) * b_stride];
   }
   float acc = (acc0 + acc1) + (acc2 + acc3);
-  for (; i < end; ++i) acc += v[i];
+  for (; i < end; ++i) acc += a[i] * b[i * b_stride];
   return acc;
 }
 
-inline float unrolled_dot(const float* a, const float* b, std::int64_t begin,
+// A sum is the dot with ones: v * 1.0F == v exactly, so sums and dots share
+// one accumulation order, and the constant multiply folds away.
+inline float unrolled_sum(const float* v, std::int64_t begin,
                           std::int64_t end) noexcept {
-  float acc0 = 0.0F, acc1 = 0.0F, acc2 = 0.0F, acc3 = 0.0F;
-  std::int64_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    acc0 += a[i] * b[i];
-    acc1 += a[i + 1] * b[i + 1];
-    acc2 += a[i + 2] * b[i + 2];
-    acc3 += a[i + 3] * b[i + 3];
-  }
-  float acc = (acc0 + acc1) + (acc2 + acc3);
-  for (; i < end; ++i) acc += a[i] * b[i];
-  return acc;
+  static constexpr float kOne = 1.0F;
+  return unrolled_dot(v, &kOne, 0, begin, end);
 }
 
 }  // namespace
 
-float ReductionPlan::reduce(std::span<const float> values) const noexcept {
-  assert(static_cast<std::int64_t>(values.size()) == k_);
+template <typename LaneSum>
+float ReductionPlan::reduce_lanes(LaneSum lane_sum) const noexcept {
   if (k_ == 0) return 0.0F;
-  if (lanes_ == 1) {
-    return unrolled_sum(values.data(), 0, k_);
-  }
+  if (lanes_ == 1) return lane_sum(0, k_);
   float partials_buf[512];
   std::vector<float> partials_heap;
   std::span<float> partials;
@@ -120,9 +115,16 @@ float ReductionPlan::reduce(std::span<const float> values) const noexcept {
   }
   for (int l = 0; l < lanes_; ++l) {
     const auto [begin, end] = lane_range(l, lanes_, k_);
-    partials[static_cast<std::size_t>(l)] = unrolled_sum(values.data(), begin, end);
+    partials[static_cast<std::size_t>(l)] = lane_sum(begin, end);
   }
   return combine(partials);
+}
+
+float ReductionPlan::reduce(std::span<const float> values) const noexcept {
+  assert(static_cast<std::int64_t>(values.size()) == k_);
+  return reduce_lanes([&](std::int64_t begin, std::int64_t end) {
+    return unrolled_sum(values.data(), begin, end);
+  });
 }
 
 float ReductionPlan::reduce_dot(std::span<const float> a,
@@ -136,33 +138,10 @@ float ReductionPlan::reduce_dot_strided(const float* a, const float* b,
                                         std::int64_t k,
                                         std::int64_t b_stride) const noexcept {
   assert(k == k_);
-  if (k == 0) return 0.0F;
-  if (lanes_ == 1) {
-    if (b_stride == 1) return unrolled_dot(a, b, 0, k);
-    float acc = 0.0F;
-    for (std::int64_t i = 0; i < k; ++i) acc += a[i] * b[i * b_stride];
-    return acc;
-  }
-  float partials_buf[512];
-  std::vector<float> partials_heap;
-  std::span<float> partials;
-  if (lanes_ <= 512) {
-    partials = std::span<float>(partials_buf, static_cast<std::size_t>(lanes_));
-  } else {
-    partials_heap.resize(static_cast<std::size_t>(lanes_));
-    partials = partials_heap;
-  }
-  for (int l = 0; l < lanes_; ++l) {
-    const auto [begin, end] = lane_range(l, lanes_, k);
-    if (b_stride == 1) {
-      partials[static_cast<std::size_t>(l)] = unrolled_dot(a, b, begin, end);
-    } else {
-      float acc = 0.0F;
-      for (std::int64_t i = begin; i < end; ++i) acc += a[i] * b[i * b_stride];
-      partials[static_cast<std::size_t>(l)] = acc;
-    }
-  }
-  return combine(partials);
+  (void)k;
+  return reduce_lanes([&](std::int64_t begin, std::int64_t end) {
+    return unrolled_dot(a, b, b_stride, begin, end);
+  });
 }
 
 }  // namespace nnr::tensor

@@ -62,7 +62,8 @@ class ReductionPlan {
   [[nodiscard]] float reduce_dot(std::span<const float> a,
                                  std::span<const float> b) const noexcept;
 
-  /// Strided-dot variant for GEMM inner loops: dot of a[i] with b[i*stride].
+  /// Strided-dot variant for GEMM inner loops: dot of a[i] with b[i*stride],
+  /// summed in the same order as the contiguous dot for every stride.
   [[nodiscard]] float reduce_dot_strided(const float* a, const float* b,
                                          std::int64_t k,
                                          std::int64_t b_stride) const noexcept;
@@ -76,6 +77,10 @@ class ReductionPlan {
   }
 
  private:
+  /// Splits [0, k) into this plan's lanes, sums each lane's chunk with
+  /// lane_sum(begin, end) and combines the partials.
+  template <typename LaneSum>
+  [[nodiscard]] float reduce_lanes(LaneSum lane_sum) const noexcept;
   [[nodiscard]] float combine(std::span<float> partials) const noexcept;
 
   AccumOrder order_;

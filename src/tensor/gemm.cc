@@ -51,7 +51,8 @@ struct BOperand {
 // dst[kk * kNr + jj] so the micro-kernel's inner loop loads one contiguous
 // vector per k step. Columns nr..kNr-1 are zero-filled: a partial last panel
 // then runs through the same micro-kernel, and its padded columns are never
-// stored. Pure data movement — no floating-point arithmetic.
+// stored. Either B layout packs to the same panel, which is why gemm_nn needs
+// no transposed copy of B. Pure data movement — no floating-point arithmetic.
 void pack_b_panel(const BOperand& b, std::int64_t k, std::int64_t j0,
                   std::int64_t nr, float* dst) noexcept {
   const float* b0 = b.data + j0 * b.col_stride;
@@ -133,7 +134,7 @@ void micro_tile(const float* a, std::int64_t lda, const float* bp,
 }
 
 // The seed kernel body: one reduce_dot_strided per output element. It defines
-// gemm_nt_reference and serves launches too small to amortize a panel pack.
+// gemm_nt_reference and serves launches with fewer outputs than one tile.
 void gemm_loop(const float* pa, const BOperand& b, float* pc, std::int64_t m,
                std::int64_t n, std::int64_t k,
                const ReductionPlan& plan) noexcept {
@@ -296,6 +297,14 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
   const std::int64_t k = a.shape()[1];
   gemm(a.raw(), {.data = b.raw(), .col_stride = k, .k_stride = 1}, c.raw(),
        a.shape()[0], b.shape()[0], k, policy);
+}
+
+void gemm_nn(const Tensor& a, const Tensor& b, Tensor& c,
+             const KernelPolicy& policy) {
+  check_gemm_shapes(a, b, c, /*b_is_kn=*/true);
+  const std::int64_t n = b.shape()[1];
+  gemm(a.raw(), {.data = b.raw(), .col_stride = 1, .k_stride = n}, c.raw(),
+       a.shape()[0], n, a.shape()[1], policy);
 }
 
 void gemm_nt_reference(const Tensor& a, const Tensor& b, Tensor& c,

@@ -9,8 +9,9 @@
 // Layout convention: the canonical kernel is gemm_nt,
 //     C[M, N] = A[M, K] · B[N, K]^T
 // i.e. both operands are row-major with the contraction axis K contiguous.
-// Callers arrange operands (via transpose()) so every inner dot product walks
-// unit-stride memory; this keeps the scalar kernels auto-vectorizable.
+// gemm_nn takes B as [K, N] instead; the engine packs B into panels either
+// way, so callers hand over whichever layout they hold rather than building
+// a transposed copy.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +46,12 @@ struct KernelPolicy {
 /// under the reference loop. Launches with fewer outputs than one register
 /// tile run the reference loop itself.
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
+             const KernelPolicy& policy);
+
+/// C[M, N] = A[M, K] · B[K, N], with B row-major [K, N]. Bitwise equal to
+/// gemm_nt(a, transpose(b)) for every policy: the panel pack reads B in
+/// place, so no transposed copy is materialized.
+void gemm_nn(const Tensor& a, const Tensor& b, Tensor& c,
              const KernelPolicy& policy);
 
 /// The seed triple loop: one reduce_dot_strided per output element. Kept as

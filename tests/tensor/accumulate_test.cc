@@ -115,6 +115,29 @@ TEST(Accumulate, StridedDotWalksStride) {
   EXPECT_FLOAT_EQ(plan.reduce_dot_strided(a.data(), b.data(), 3, 2), 6.0F);
 }
 
+TEST(Accumulate, StridedDotSumsInContiguousOrder) {
+  // A dot read down a column (stride 3) must equal, bit for bit, the
+  // contiguous dot of the same gathered values, for one lane and for many.
+  constexpr std::int64_t k = 129;
+  constexpr std::int64_t stride = 3;
+  rng::Generator gen(17);
+  std::vector<float> a(k);
+  std::vector<float> b_strided(k * stride);
+  for (float& v : a) v = gen.normal();
+  for (float& v : b_strided) v = gen.normal();
+  std::vector<float> b_gathered(k);
+  for (std::int64_t i = 0; i < k; ++i) {
+    b_gathered[static_cast<std::size_t>(i)] =
+        b_strided[static_cast<std::size_t>(i * stride)];
+  }
+  for (const int lanes : {1, 4, 7}) {
+    const ReductionPlan plan(AccumOrder::kPairwiseTree, lanes, k, nullptr);
+    EXPECT_EQ(plan.reduce_dot_strided(a.data(), b_strided.data(), k, stride),
+              plan.reduce_dot(a, b_gathered))
+        << "lanes=" << lanes;
+  }
+}
+
 TEST(Accumulate, EmptyReductionIsZero) {
   const ReductionPlan plan(AccumOrder::kPairwiseTree, 8, 0, nullptr);
   EXPECT_EQ(plan.reduce({}), 0.0F);

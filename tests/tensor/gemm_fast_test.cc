@@ -65,8 +65,9 @@ TEST(GemmFastPath, BitwiseEqualToReferenceAllOrders) {
         rng::Generator entropy_ref(99 + c.k);
         Tensor fast(Shape{c.m, c.n});
         Tensor ref(Shape{c.m, c.n});
-        gemm_nt(a, b, fast,
-                {.order = order, .cuda_cores = cores, .entropy = &entropy_fast});
+        gemm_nt(
+            a, b, fast,
+            {.order = order, .cuda_cores = cores, .entropy = &entropy_fast});
         gemm_nt_reference(
             a, b, ref,
             {.order = order, .cuda_cores = cores, .entropy = &entropy_ref});
@@ -96,6 +97,56 @@ TEST(GemmFastPath, InvariantToHostThreadCount) {
             {.order = order, .cuda_cores = 5120, .entropy = &entropy4});
     runtime::ThreadPool::set_global_threads(0);  // restore env default
     expect_bitwise_equal(c1, c4, "gemm across NNR_THREADS");
+  }
+}
+
+TEST(GemmNn, BitwiseEqualToReferenceOnTransposedBAllOrders) {
+  const AccumOrder orders[] = {AccumOrder::kSequential,
+                               AccumOrder::kPairwiseTree,
+                               AccumOrder::kShardedShuffled};
+  const int core_counts[] = {0, 512, 5120, 100000};
+  for (const GemmCase& c : kCases) {
+    const Tensor a = random_tensor(Shape{c.m, c.k}, 13 + c.m);
+    const Tensor b_kn = random_tensor(Shape{c.k, c.n}, 29 + c.n);
+    Tensor b_nk(Shape{c.n, c.k});
+    transpose(b_kn, b_nk);
+    for (AccumOrder order : orders) {
+      for (int cores : core_counts) {
+        rng::Generator entropy_nn(77 + c.k);
+        rng::Generator entropy_ref(77 + c.k);
+        Tensor nn(Shape{c.m, c.n});
+        Tensor ref(Shape{c.m, c.n});
+        gemm_nn(a, b_kn, nn,
+                {.order = order, .cuda_cores = cores, .entropy = &entropy_nn});
+        gemm_nt_reference(
+            a, b_nk, ref,
+            {.order = order, .cuda_cores = cores, .entropy = &entropy_ref});
+        expect_bitwise_equal(nn, ref, "gemm_nn");
+        ASSERT_EQ(entropy_nn.next_u32(), entropy_ref.next_u32())
+            << "entropy streams out of lockstep, m=" << c.m << " n=" << c.n
+            << " k=" << c.k << " cores=" << cores;
+      }
+    }
+  }
+}
+
+TEST(GemmNn, InvariantToHostThreadCount) {
+  const Tensor a = random_tensor(Shape{65, 200}, 47);
+  const Tensor b = random_tensor(Shape{200, 130}, 53);
+  for (AccumOrder order :
+       {AccumOrder::kPairwiseTree, AccumOrder::kShardedShuffled}) {
+    rng::Generator entropy1(9);
+    rng::Generator entropy4(9);
+    runtime::ThreadPool::set_global_threads(1);
+    Tensor c1(Shape{65, 130});
+    gemm_nn(a, b, c1,
+            {.order = order, .cuda_cores = 5120, .entropy = &entropy1});
+    runtime::ThreadPool::set_global_threads(4);
+    Tensor c4(Shape{65, 130});
+    gemm_nn(a, b, c4,
+            {.order = order, .cuda_cores = 5120, .entropy = &entropy4});
+    runtime::ThreadPool::set_global_threads(0);
+    expect_bitwise_equal(c1, c4, "gemm_nn across NNR_THREADS");
   }
 }
 
