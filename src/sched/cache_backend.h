@@ -133,11 +133,12 @@ class CacheBackend {
   [[nodiscard]] virtual std::string describe() const = 0;
 };
 
-/// Where a run's cache lives. `url` non-empty selects the remote backend
-/// (and `dir` is ignored); otherwise `dir` non-empty selects the
-/// filesystem backend; both empty means no cache. A comma-separated `url`
-/// (tcp://h1:p1,tcp://h2:p2,...) selects the sharded tier
-/// (sched/sharded_cache_backend.h) routing keys across the listed daemons.
+/// Where a run's cache lives. `url` non-empty selects the remote tier (and
+/// `dir` is ignored); otherwise `dir` non-empty selects the filesystem
+/// backend; both empty means no cache. `url` is one tcp://host:port or a
+/// comma-separated shard map (tcp://h1:p1,tcp://h2:p2,...); either way the
+/// router of sched/sharded_cache_backend.h routes keys across the listed
+/// daemons.
 struct CacheConfig {
   std::string dir;           // NNR_CACHE_DIR / --cache-dir
   std::string url;           // NNR_CACHE_URL / --cache-url (tcp://host:port
@@ -153,15 +154,5 @@ struct CacheConfig {
 /// disables caching. Throws std::invalid_argument on a malformed url.
 [[nodiscard]] std::unique_ptr<CacheBackend> make_cache_backend(
     const CacheConfig& config);
-
-class RemoteCacheBackend;
-
-/// Remote backend with the same environment-derived options
-/// (NNR_CACHE_LEASE_MS) make_cache_backend applies — for callers that need
-/// the concrete type's fleet-queue RPCs (nnr_run --submit/--worker), not
-/// just the CacheBackend interface. Throws std::invalid_argument on a
-/// malformed url.
-[[nodiscard]] std::unique_ptr<RemoteCacheBackend> make_remote_cache_backend(
-    const std::string& url);
 
 }  // namespace nnr::sched

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,6 +15,7 @@
 #include "sched/progress.h"
 #include "sched/registry.h"
 #include "sched/remote_cache_backend.h"
+#include "sched/sharded_cache_backend.h"
 #include "sched/study_plan.h"
 
 namespace nnr::sched {
@@ -26,6 +28,24 @@ void sleep_ms(std::int64_t ms) {
 
 net::Jitter make_jitter(std::uint64_t seed) {
   return net::Jitter(seed != 0 ? seed : net::default_jitter_seed());
+}
+
+/// SUBMIT attempts before the coordinator gives up: one dropped frame or a
+/// daemon mid-restart must cost a retry, not the wave.
+constexpr std::int64_t kSubmitAttempts = 11;
+
+/// An unreachable queue daemon is waited out, never given up on.
+constexpr std::int64_t kForever = std::numeric_limits<std::int64_t>::max();
+
+/// The client whose reconnect window paces a retried PUT of `key`: the
+/// owner shard's when `cache` is the router, else the queue client.
+const RemoteCacheBackend& entry_client(RemoteCacheBackend& backend,
+                                       CacheBackend* cache,
+                                       const CellKey& key) {
+  if (auto* router = dynamic_cast<ShardedCacheBackend*>(cache)) {
+    return router->shard(router->shard_for(key));
+  }
+  return backend;
 }
 
 }  // namespace
@@ -64,14 +84,12 @@ std::optional<FleetSubmitSummary> fleet_submit_and_wait(
   }
 
   net::Jitter jitter = make_jitter(options.jitter_seed);
-  auto ack = backend.fleet_submit(items);
-  for (std::int64_t attempt = 0; !ack.has_value() && attempt < options.submit_retries;
-       ++attempt) {
-    // SUBMIT is idempotent (the daemon dedupes), so a lost frame or a
-    // daemon mid-restart costs a retry, not the wave.
-    sleep_ms(jitter.around(options.poll_ms));
+  std::optional<RemoteCacheBackend::FleetSubmitAck> ack;
+  // SUBMIT is idempotent (the daemon dedupes), so retrying it is safe.
+  retry_with_window(backend, kSubmitAttempts, options.poll_ms, jitter, [&] {
     ack = backend.fleet_submit(items);
-  }
+    return ack.has_value();
+  });
   if (!ack.has_value()) {
     std::fprintf(stderr,
                  "[fleet] submit failed: %s unreachable or predates the work "
@@ -156,11 +174,11 @@ FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
   net::Jitter jitter = make_jitter(options.jitter_seed);
   for (;;) {
     if (options.max_cells > 0 && summary.fetched >= options.max_cells) break;
-    auto fetch = backend.fleet_fetch();
-    if (!fetch.has_value()) {  // degraded: daemon unreachable right now
-      sleep_ms(jitter.around(options.degraded_poll_ms));
-      continue;
-    }
+    std::optional<RemoteCacheBackend::FleetFetchResult> fetch;
+    retry_with_window(backend, kForever, options.poll_ms, jitter, [&] {
+      fetch = backend.fleet_fetch();
+      return fetch.has_value();
+    });
     if (!fetch->granted) {
       // outstanding == 0 with total > 0: the wave is complete. total == 0:
       // nothing submitted yet — wait for a coordinator.
@@ -181,15 +199,13 @@ FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
       // up is a daemon ANSWER (kGone: the lease expired or a PUT already
       // settled the item) — final, not retryable; a delivery failure
       // always drops the connection.
-      for (std::int64_t attempt = 0;; ++attempt) {
-        if (backend.fleet_report(work.key, fetch->lease_id, outcome)
-                .has_value() ||
-            backend.connected() || attempt >= options.report_retries) {
-          return;
-        }
-        sleep_ms(
-            jitter.around(std::max<std::int64_t>(options.store_retry_ms, 1)));
-      }
+      const auto delivered = [&] {
+        return backend.fleet_report(work.key, fetch->lease_id, outcome)
+                   .has_value() ||
+               backend.connected();
+      };
+      retry_with_window(backend, 1 + options.store_retries,
+                        options.store_retry_ms, jitter, delivered);
     };
 
     const StudyPlan* plan = plan_for(work.study);
@@ -239,15 +255,15 @@ FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
                    e.what());
       trained_ok = false;
     }
-    bool stored = trained_ok && entries.store(work.key, result);
-    for (std::int64_t attempt = 0;
-         trained_ok && !stored && attempt < options.store_retries; ++attempt) {
-      // The training is in hand; only the PUT failed (daemon hiccup,
-      // dropped frame). Re-sending is far cheaper than reporting kFailed
-      // and having another worker retrain the whole cell.
-      sleep_ms(jitter.around(std::max<std::int64_t>(options.store_retry_ms, 1)));
-      stored = entries.store(work.key, result);
-    }
+    // The training is in hand; a failed PUT (daemon hiccup, dropped frame)
+    // is re-sent, far cheaper than reporting kFailed and having another
+    // worker retrain the whole cell.
+    const bool stored =
+        trained_ok &&
+        retry_with_window(entry_client(backend, cache, work.key),
+                          1 + options.store_retries, options.store_retry_ms,
+                          jitter,
+                          [&] { return entries.store(work.key, result); });
     if (!stored) {
       // A result we can't persist is indistinguishable from no result to
       // the rest of the fleet — let the queue retry it elsewhere.

@@ -19,7 +19,9 @@
 //
 // Both loops degrade like the rest of the remote backend: an unreachable
 // or restarted daemon costs retries (the daemon's queue snapshot survives a
-// restart), never wrong results.
+// restart), never wrong results. Every retry goes through
+// retry_with_window() (sched/remote_cache_backend.h), so it waits out the
+// client's own reconnect window and then makes a real attempt.
 #pragma once
 
 #include <cstdint>
@@ -33,15 +35,10 @@ class CacheBackend;
 class RemoteCacheBackend;
 
 struct FleetSubmitOptions {
-  /// QUEUE_STAT poll interval while waiting for the fleet to drain
-  /// (jittered +-50% per sleep; see jitter_seed).
+  /// QUEUE_STAT poll interval while waiting for the fleet to drain, and
+  /// the base wait between SUBMIT retries (jittered +-50% per sleep; see
+  /// jitter_seed).
   std::int64_t poll_ms = 500;
-  /// A failed SUBMIT RPC is retried this many times (jittered poll_ms
-  /// apart) before the coordinator gives up. SUBMIT is idempotent — the
-  /// daemon dedupes resubmitted keys — so a retry can only cost duplicate
-  /// counts, never duplicate work; without it one dropped frame at submit
-  /// time would abort a whole wave.
-  std::int64_t submit_retries = 10;
   /// Seed of the poll-jitter stream; 0 = pid-derived (production default).
   std::uint64_t jitter_seed = 0;
 };
@@ -61,21 +58,22 @@ struct FleetSubmitSummary {
 /// Submits every cacheable (cell, replicate) of the named studies (ids per
 /// sched/registry.h; the caller validates names first) and blocks until the
 /// fleet drains the queue, printing the [fleet] progress line to stderr.
-/// nullopt when the submit RPC fails submit_retries + 1 times (daemon
-/// unreachable, or a pre-queue daemon answering kError). Daemon restarts
-/// during the wait are tolerated: failed polls just retry after poll_ms.
+/// nullopt when a bounded number of submit attempts all fail (daemon
+/// unreachable, or a pre-queue daemon answering kError); SUBMIT is
+/// idempotent, so retrying it costs at most duplicate counts. Daemon
+/// restarts during the wait are tolerated: failed polls just retry after
+/// poll_ms.
 [[nodiscard]] std::optional<FleetSubmitSummary> fleet_submit_and_wait(
     RemoteCacheBackend& backend, const std::vector<std::string>& studies,
     const FleetSubmitOptions& options = {});
 
 struct FleetWorkerOptions {
   /// Sleep between FETCH attempts while the queue has outstanding work
-  /// held by other workers (nothing fetchable right now). Every sleep in
-  /// the worker is jittered +-50%, so N workers started together do not
-  /// hammer a recovering daemon in phase.
+  /// held by other workers (nothing fetchable right now), and the base
+  /// wait between FETCH retries while the daemon is unreachable. Every
+  /// sleep in the worker is jittered +-50%, so N workers started together
+  /// do not hammer a recovering daemon in phase.
   std::int64_t poll_ms = 500;
-  /// Sleep while the daemon is unreachable before retrying.
-  std::int64_t degraded_poll_ms = 1000;
   /// Exit once the queue reports no outstanding work (outstanding == 0,
   /// total > 0). False keeps the worker alive for the next submit wave.
   bool exit_when_drained = true;
@@ -86,16 +84,16 @@ struct FleetWorkerOptions {
   /// Training is the expensive part: under a flaky network, re-sending a
   /// PUT is vastly cheaper than burning one of the queue's bounded
   /// attempts and retraining the cell elsewhere.
+  ///
+  /// An undelivered REPORT is retried on the same schedule. In a
+  /// single-daemon deployment a lost REPORT is benign — the PUT already
+  /// settled the item on the same daemon — but with a sharded cache tier
+  /// the queue daemon never sees a PUT bound for another shard, so REPORT
+  /// is the only settlement path and a dropped frame must cost a retry,
+  /// not the cell's exactly-once tally (the lease would expire and another
+  /// worker would redo the cell as served).
   std::int64_t store_retries = 3;
   std::int64_t store_retry_ms = 200;
-  /// A failed REPORT RPC is retried this many times (jittered
-  /// store_retry_ms apart). In a single-daemon deployment a lost REPORT is
-  /// benign — the PUT already settled the item on the same daemon — but
-  /// with a sharded cache tier the queue daemon never sees a PUT bound for
-  /// another shard, so REPORT is the only settlement path and a dropped
-  /// frame must cost a retry, not the cell's exactly-once tally (the
-  /// lease would expire and another worker would redo the cell as served).
-  std::int64_t report_retries = 3;
   /// Seed of the jitter stream; 0 = pid-derived (production default).
   std::uint64_t jitter_seed = 0;
 };
@@ -110,12 +108,12 @@ struct FleetWorkerSummary {
 /// The worker loop. Returns when the queue drains (see
 /// FleetWorkerOptions::exit_when_drained) or max_cells is reached.
 ///
-/// `backend` carries the queue RPCs (FETCH/REPORT) — under a sharded cache
-/// tier the work queue lives on ONE daemon (the first shard in the map).
-/// `cache`, when non-null, carries the entry traffic (load before train,
-/// PUT after) so results land on each key's owner shard; null routes entry
-/// traffic through `backend` too (the single-daemon deployment, where the
-/// queue daemon IS the cache).
+/// `backend` carries the queue RPCs (FETCH/REPORT) — the work queue lives
+/// on ONE daemon, the first shard in the map (router.shard(0)). `cache`,
+/// when non-null, carries the entry traffic (load before train, PUT after)
+/// so results land on each key's owner shard; null routes entry traffic
+/// through `backend` too. A retried PUT waits on its owner shard's
+/// reconnect window when `cache` is the router itself.
 FleetWorkerSummary fleet_run_worker(RemoteCacheBackend& backend,
                                     const FleetWorkerOptions& options = {},
                                     CacheBackend* cache = nullptr);

@@ -100,34 +100,26 @@ RemoteCacheBackend::~RemoteCacheBackend() {
 
 bool RemoteCacheBackend::ensure_connected_locked() {
   if (sock_.valid()) return true;
-  const auto now = std::chrono::steady_clock::now();
-  if (ever_connected_ || last_connect_attempt_.time_since_epoch().count() != 0) {
-    // Degraded: fail fast inside the backoff window so a down daemon costs
-    // a study one timeout, not one per replicate. The window doubles with
-    // every consecutive failure (jittered) so a long outage is probed ever
-    // more gently — and by every client at a different moment.
-    if (now - last_connect_attempt_ <
-        std::chrono::milliseconds(current_window_ms_)) {
-      return false;
-    }
-  }
+  // Degraded: fail fast inside the backoff window so a down daemon costs
+  // a study one timeout, not one per replicate. The window doubles with
+  // every consecutive failure (jittered) so a long outage is probed ever
+  // more gently — and by every client at a different moment.
+  if (retry_in_ms_locked() > 0) return false;
   ++connect_attempts_;
   sock_ = net::connect_tcp(host_, port_, options_.connect_timeout_ms,
                            options_.io_timeout_ms);
-  // Stamp AFTER the attempt completes. A connect to a down daemon can
-  // itself take up to connect_timeout_ms; stamping before it would let the
-  // backoff window elapse DURING the attempt whenever connect_timeout_ms >
+  if (sock_.valid()) {
+    reconnect_backoff_.reset();
+    return true;
+  }
+  // Arm the window AFTER the attempt completes. A connect to a down daemon
+  // can itself take up to connect_timeout_ms; arming before it would let
+  // the window elapse DURING the attempt whenever connect_timeout_ms >
   // reconnect_backoff_ms — every subsequent operation would then pay a full
   // connect attempt, exactly what the backoff exists to prevent.
-  last_connect_attempt_ = std::chrono::steady_clock::now();
-  if (sock_.valid()) {
-    ever_connected_ = true;
-    reconnect_backoff_.reset();
-    current_window_ms_ = 0;
-  } else {
-    current_window_ms_ = reconnect_backoff_.next_ms();
-  }
-  return sock_.valid();
+  retry_at_ = std::chrono::steady_clock::now() +
+              std::chrono::milliseconds(reconnect_backoff_.next_ms());
+  return false;
 }
 
 std::int64_t RemoteCacheBackend::connect_attempts_for_test() const {
@@ -141,9 +133,8 @@ void RemoteCacheBackend::drop_connection_for_test() {
   std::lock_guard<std::mutex> lock(io_mu_);
   drop_connection_locked();
   // Force the next operation to reconnect immediately, not after backoff.
-  last_connect_attempt_ = {};
   reconnect_backoff_.reset();
-  current_window_ms_ = 0;
+  retry_at_ = {};
 }
 
 bool RemoteCacheBackend::connected() const {
@@ -151,31 +142,26 @@ bool RemoteCacheBackend::connected() const {
   return sock_.valid();
 }
 
-void RemoteCacheBackend::disconnect() {
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    drop_connection_locked();
-    last_connect_attempt_ = {};
-    ever_connected_ = false;
-    reconnect_backoff_.reset();
-    current_window_ms_ = 0;
-  }
-  {
-    // The daemon releases our leases when it sees the FIN; heartbeating
-    // them over the next connection would only collect kGone answers.
-    std::lock_guard<std::mutex> lock(lease_mu_);
-    leases_.clear();
-  }
-  hb_cv_.notify_all();
+std::int64_t RemoteCacheBackend::retry_in_ms() const {
+  std::lock_guard<std::mutex> lock(io_mu_);
+  return retry_in_ms_locked();
+}
+
+std::int64_t RemoteCacheBackend::retry_in_ms_locked() const {
+  if (sock_.valid()) return 0;
+  // Rounded up, so 0 means the window has really elapsed.
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+      retry_at_ - std::chrono::steady_clock::now());
+  return std::max<std::int64_t>(left.count(), 0);
 }
 
 void RemoteCacheBackend::note_go_away_locked(std::uint32_t retry_after_ms) {
   drop_connection_locked();
   // Arm at least the server's hint: reconnecting sooner would only be
   // turned away again and burn one of the server's accept slots.
-  last_connect_attempt_ = std::chrono::steady_clock::now();
-  current_window_ms_ = std::max<std::int64_t>(reconnect_backoff_.next_ms(),
-                                              retry_after_ms);
+  retry_at_ = std::chrono::steady_clock::now() +
+              std::chrono::milliseconds(std::max<std::int64_t>(
+                  reconnect_backoff_.next_ms(), retry_after_ms));
 }
 
 std::optional<RemoteCacheBackend::Rpc> RemoteCacheBackend::rpc(
@@ -564,6 +550,20 @@ std::optional<FleetQueue::Stats> RemoteCacheBackend::fleet_queue_stat() {
   } catch (const net::ProtocolError&) {
     return std::nullopt;
   }
+}
+
+bool retry_with_window(const RemoteCacheBackend& client,
+                       std::int64_t attempts, std::int64_t base_ms,
+                       net::Jitter& jitter,
+                       const std::function<bool()>& attempt) {
+  for (std::int64_t i = 0; i < attempts; ++i) {
+    if (i > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::max(jitter.around(base_ms), client.retry_in_ms())));
+    }
+    if (attempt()) return true;
+  }
+  return false;
 }
 
 }  // namespace nnr::sched

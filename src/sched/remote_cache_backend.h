@@ -33,6 +33,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -117,24 +118,19 @@ class RemoteCacheBackend final : public CacheBackend {
   [[nodiscard]] bool ping();
 
   /// True when a TCP connection is currently established (no I/O — just a
-  /// socket check). The sharded composite uses this after a delegated
-  /// operation to decide whether a miss was "daemon says miss" (connection
-  /// up) or "daemon unreachable" (mark the shard down).
+  /// socket check). The fleet worker uses this after a failed REPORT to
+  /// tell a daemon's answer (connection up: final) from a delivery failure
+  /// (connection dropped: retry).
   [[nodiscard]] bool connected() const;
 
-  /// Explicit teardown with a FULL per-connection state reset: closes the
-  /// socket and clears the reconnect backoff, its armed window, the
-  /// last-attempt stamp, and the heartbeat set (held leases — the daemon
-  /// releases them on our FIN, so renewing them over a fresh connection
-  /// would only harvest kGone). The next operation connects immediately,
-  /// as if the backend were newly constructed. This is what shard-level
-  /// health cycling needs: a probe after an outage must actually attempt
-  /// the connect, not fail fast inside a stale backoff window. Contrast
-  /// drop_connection_for_test(), which simulates a vanished client and
-  /// deliberately leaves the lease set intact.
-  void disconnect();
+  /// Milliseconds left in the armed reconnect window: while it runs, every
+  /// operation fails fast without touching the socket. 0 when the next
+  /// operation would do I/O now (connected, or free to reconnect). This
+  /// window is the client stack's one health state: the sharded router
+  /// reports it per shard, and retry_with_window() waits it out.
+  [[nodiscard]] std::int64_t retry_in_ms() const;
 
-  /// Answer to kShardInfo (shard identity, for the sharded client's
+  /// Answer to kShardInfo (shard identity, for the sharded router's
   /// dir-disjointness check). nullopt: daemon unreachable, or an older
   /// daemon answering kError ("feature absent" — the caller skips the
   /// check rather than failing the study).
@@ -211,6 +207,7 @@ class RemoteCacheBackend final : public CacheBackend {
   /// RemoteCacheOptions::throttle_retries) before surfacing.
   std::optional<Rpc> rpc(net::Op op, std::string_view body);
   bool ensure_connected_locked();
+  [[nodiscard]] std::int64_t retry_in_ms_locked() const;
   void drop_connection_locked();
   /// Records a kGoAway: drop the connection and arm a backoff window of
   /// at least the server's retry hint.
@@ -228,13 +225,12 @@ class RemoteCacheBackend final : public CacheBackend {
 
   mutable std::mutex io_mu_;  // socket + degraded state
   net::Socket sock_;
-  std::chrono::steady_clock::time_point last_connect_attempt_{};
-  bool ever_connected_ = false;
   std::int64_t connect_attempts_ = 0;
-  /// Exponential reconnect schedule (guarded by io_mu_). current_window_ms_
-  /// is the jittered wait armed by the LAST failure; 0 = no wait pending.
+  /// Exponential reconnect schedule (guarded by io_mu_). retry_at_ is the
+  /// end of the window armed by the LAST failure; in the past (or the
+  /// epoch) = no wait pending.
   net::Backoff reconnect_backoff_;
-  std::int64_t current_window_ms_ = 0;
+  std::chrono::steady_clock::time_point retry_at_{};
   net::Jitter throttle_jitter_;
 
   /// One held lease: its key plus the TTL the server actually granted
@@ -257,5 +253,16 @@ class RemoteCacheBackend final : public CacheBackend {
   mutable std::mutex stats_mu_;
   CacheStats stats_;
 };
+
+/// The one retry loop of the client stack. Calls `attempt` until it
+/// returns true, at most `attempts` times, sleeping
+/// max(jitter.around(base_ms), client.retry_in_ms()) between calls. The
+/// floor is what makes every retry a real attempt: a retry that woke
+/// inside the client's armed reconnect window would fail fast without
+/// touching the socket. True once an attempt succeeds.
+bool retry_with_window(const RemoteCacheBackend& client,
+                       std::int64_t attempts, std::int64_t base_ms,
+                       net::Jitter& jitter,
+                       const std::function<bool()>& attempt);
 
 }  // namespace nnr::sched

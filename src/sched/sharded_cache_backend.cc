@@ -1,17 +1,10 @@
 #include "sched/sharded_cache_backend.h"
 
-#include <chrono>
 #include <stdexcept>
-#include <utility>
 
 namespace nnr::sched {
 
 namespace {
-
-/// A claim granted for a key whose owner shard is down: holds nothing,
-/// blocks nobody — the scheduler trains locally under it, same as the
-/// remote backend's degraded claims.
-struct ShardedNoopClaimImpl final : CacheClaim::Impl {};
 
 /// 64-bit finalizer (the murmur3/splitmix avalanche): every input bit
 /// flips each output bit with ~1/2 probability — what the χ² uniformity
@@ -81,27 +74,9 @@ std::vector<std::string> split_cache_urls(const std::string& list) {
   return urls;
 }
 
-struct ShardedCacheBackend::ShardState {
-  ShardState(std::string shard_url, std::uint64_t shard_tag_value,
-             std::unique_ptr<RemoteCacheBackend> shard_client,
-             int backoff_ms, int backoff_max_ms, std::uint64_t seed)
-      : url(std::move(shard_url)),
-        tag(shard_tag_value),
-        client(std::move(shard_client)),
-        probe_backoff(backoff_ms, backoff_max_ms, seed) {}
-
-  std::string url;
-  std::uint64_t tag;
-  std::unique_ptr<RemoteCacheBackend> client;
-
-  std::mutex mu;  // health state below
-  bool down = false;
-  net::Backoff probe_backoff;
-  std::chrono::steady_clock::time_point next_probe{};
-};
-
 ShardedCacheBackend::ShardedCacheBackend(const std::vector<std::string>& urls,
-                                         ShardedCacheOptions options) {
+                                         RemoteCacheOptions options)
+    : urls_(urls) {
   if (urls.empty()) {
     throw std::invalid_argument("sharded cache: empty shard map");
   }
@@ -117,141 +92,54 @@ ShardedCacheBackend::ShardedCacheBackend(const std::vector<std::string>& urls,
             "sharded cache: duplicate shard url '" + urls[i] + "'");
       }
     }
-    RemoteCacheOptions remote = options.remote;
     // Decorrelate the shard clients' jitter streams even under a pinned
     // seed — one seed per shard slot, derived deterministically.
-    remote.jitter_seed = seed_base + 0x9E37ull * (i + 1);
-    shards_.push_back(std::make_unique<ShardState>(
-        urls[i], shard_tag(urls[i]),
-        std::make_unique<RemoteCacheBackend>(urls[i], remote),
-        options.probe_backoff_ms, options.probe_backoff_max_ms,
-        seed_base ^ (0x5348u + i)));
-    tags_.push_back(shards_.back()->tag);
-    if (!description_.empty()) description_ += ',';
-    description_ += urls[i];
+    options.jitter_seed = seed_base + 0x9E37ull * (i + 1);
+    shards_.push_back(std::make_unique<RemoteCacheBackend>(urls[i], options));
+    tags_.push_back(shard_tag(urls[i]));
   }
-  description_ = "sharded(" + description_ + ")";
 }
-
-ShardedCacheBackend::~ShardedCacheBackend() = default;
 
 std::size_t ShardedCacheBackend::shard_for(const CellKey& key) const {
   return pick_shard(key, tags_);
 }
 
 const std::string& ShardedCacheBackend::shard_url(std::size_t index) const {
-  return shards_.at(index)->url;
+  return urls_.at(index);
 }
 
 RemoteCacheBackend& ShardedCacheBackend::shard(std::size_t index) {
-  return *shards_.at(index)->client;
+  return *shards_.at(index);
 }
 
 bool ShardedCacheBackend::shard_marked_down(std::size_t index) const {
-  ShardState& s = *shards_.at(index);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.down;
-}
-
-RemoteCacheBackend* ShardedCacheBackend::route(const CellKey& key,
-                                               std::size_t* index) {
-  const std::size_t i = pick_shard(key, tags_);
-  if (index != nullptr) *index = i;
-  ShardState& s = *shards_[i];
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.down) return s.client.get();
-  if (std::chrono::steady_clock::now() < s.next_probe) return nullptr;
-  // Probe the shard's revival. The full client reset first is load-bearing:
-  // without it the ping would fail fast inside the client's own reconnect
-  // backoff window and the probe would learn nothing.
-  s.client->disconnect();
-  if (s.client->ping()) {
-    s.down = false;
-    s.probe_backoff.reset();
-    return s.client.get();
-  }
-  s.next_probe = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(s.probe_backoff.next_ms());
-  return nullptr;
-}
-
-void ShardedCacheBackend::note_shard_result(std::size_t index) {
-  ShardState& s = *shards_[index];
-  // connected() takes the client's io mutex; never call it under s.mu's
-  // critical path order seen in route() (s.mu -> client internals) in
-  // reverse. Here we read it first, lock-free of s.mu.
-  if (s.client->connected()) return;
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (s.down) return;
-  s.down = true;
-  s.next_probe = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(s.probe_backoff.next_ms());
-}
-
-void ShardedCacheBackend::count_degraded_miss(CacheStats* run) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++degraded_.misses;
-  if (run != nullptr) ++run->misses;
+  return shards_.at(index)->retry_in_ms() > 0;
 }
 
 std::optional<core::RunResult> ShardedCacheBackend::load(const CellKey& key,
                                                          CacheStats* run,
                                                          bool count_miss) {
-  std::size_t index = 0;
-  RemoteCacheBackend* client = route(key, &index);
-  if (client == nullptr) {
-    if (count_miss) count_degraded_miss(run);
-    return std::nullopt;
-  }
-  auto result = client->load(key, run, count_miss);
-  note_shard_result(index);
-  return result;
+  return shards_[shard_for(key)]->load(key, run, count_miss);
 }
 
 bool ShardedCacheBackend::store(const CellKey& key,
                                 const core::RunResult& result,
                                 CacheStats* run) {
-  std::size_t index = 0;
-  RemoteCacheBackend* client = route(key, &index);
-  if (client == nullptr) return false;  // dropped silently, like any store
-  const bool ok = client->store(key, result, run);
-  note_shard_result(index);
-  return ok;
+  return shards_[shard_for(key)]->store(key, result, run);
 }
 
 std::optional<CacheClaim> ShardedCacheBackend::try_claim(const CellKey& key) {
-  std::size_t index = 0;
-  RemoteCacheBackend* client = route(key, &index);
-  if (client == nullptr) {
-    // Owner shard down: grant a local no-op so the caller trains the cell
-    // itself instead of deferring forever. Never divert to another shard —
-    // that would let two daemons grant the same key.
-    return CacheClaim(std::make_unique<ShardedNoopClaimImpl>());
-  }
-  auto claim = client->try_claim(key);
-  note_shard_result(index);
-  return claim;
+  return shards_[shard_for(key)]->try_claim(key);
 }
 
 std::optional<CacheClaim> ShardedCacheBackend::claim(const CellKey& key) {
-  std::size_t index = 0;
-  RemoteCacheBackend* client = route(key, &index);
-  if (client == nullptr) {
-    return CacheClaim(std::make_unique<ShardedNoopClaimImpl>());
-  }
-  // The client's blocking claim already degrades to a no-op grant if its
-  // daemon dies mid-poll, so this cannot wedge on a shard outage.
-  auto claim = client->claim(key);
-  note_shard_result(index);
-  return claim;
+  return shards_[shard_for(key)]->claim(key);
 }
 
 GcStats ShardedCacheBackend::gc() {
   GcStats total;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (shard_marked_down(i)) continue;
-    const GcStats g = shards_[i]->client->gc();
-    note_shard_result(i);
+  for (const auto& shard : shards_) {
+    const GcStats g = shard->gc();
     total.removed_tmp += g.removed_tmp;
     total.removed_locks += g.removed_locks;
     total.evicted += g.evicted;
@@ -264,12 +152,8 @@ GcStats ShardedCacheBackend::gc() {
 
 CacheStats ShardedCacheBackend::stats() const {
   CacheStats total;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    total = degraded_;
-  }
   for (const auto& shard : shards_) {
-    const CacheStats s = shard->client->stats();
+    const CacheStats s = shard->stats();
     total.hits += s.hits;
     total.misses += s.misses;
     total.corrupt += s.corrupt;
@@ -280,7 +164,14 @@ CacheStats ShardedCacheBackend::stats() const {
   return total;
 }
 
-std::string ShardedCacheBackend::describe() const { return description_; }
+std::string ShardedCacheBackend::describe() const {
+  std::string joined;
+  for (const std::string& url : urls_) {
+    if (!joined.empty()) joined += ',';
+    joined += url;
+  }
+  return joined;
+}
 
 std::optional<std::string> ShardedCacheBackend::verify_disjoint() {
   std::vector<std::optional<RemoteCacheBackend::ShardInfo>> infos;
@@ -288,14 +179,14 @@ std::optional<std::string> ShardedCacheBackend::verify_disjoint() {
   for (const auto& shard : shards_) {
     // nullopt (unreachable, or a pre-kShardInfo daemon answering kError)
     // skips the check for that slot: the guard degrades like the cache.
-    infos.push_back(shard->client->shard_info());
+    infos.push_back(shard->shard_info());
   }
   for (std::size_t i = 0; i < infos.size(); ++i) {
     if (!infos[i].has_value()) continue;
     for (std::size_t j = 0; j < i; ++j) {
       if (infos[j].has_value() &&
           infos[j]->dir_uid == infos[i]->dir_uid) {
-        return "shards " + shards_[j]->url + " and " + shards_[i]->url +
+        return "shards " + urls_[j] + " and " + urls_[i] +
                " report the same cache directory (dir uid " +
                std::to_string(infos[i]->dir_uid) +
                "): the shard map is not dir-disjoint";

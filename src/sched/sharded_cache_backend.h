@@ -1,4 +1,4 @@
-// The sharded cache tier: a client-side composite over N nnr_cached
+// The sharded cache tier: a client-side router over 1 to N nnr_cached
 // daemons ("shards"), each owning its own directory on its own port,
 // selected by a comma-separated shard map —
 //
@@ -19,27 +19,25 @@
 //             surviving shard keeps its exact score, so it keeps every key
 //             it already won) — the reason HRW beats mod-N here.
 //
-// Failure semantics, per shard state:
+// Health is not this layer's business. Each shard's RemoteCacheBackend
+// owns the only health state in the client stack, its reconnect window,
+// so every verb is shard(pick_shard(key)).verb(...):
 //
-//   healthy   all five verbs delegate to the owner shard's
-//             RemoteCacheBackend;
-//   down      only that shard's key range degrades to local recompute
-//             (load -> miss, store -> dropped, claims -> local no-op) —
-//             the other shards stay hot. A shard is marked down when a
-//             delegated operation leaves its client disconnected, and
-//             while down its operations short-circuit without touching
-//             the socket (the fail-fast that keeps a study's cost bounded);
-//   probing   each down shard re-probes on its own jittered net::Backoff
-//             schedule (so a fleet that lost a shard together does not
-//             hammer its revival in lockstep). A probe fully resets the
-//             shard client (RemoteCacheBackend::disconnect()) before
-//             pinging, so it really attempts the connect instead of
-//             failing fast inside a stale backoff window.
+//   up        the owner shard's client serves the operation;
+//   down      that client degrades only its own key range (load -> miss,
+//             store -> dropped, claims -> local no-op) and fails fast
+//             inside its jittered reconnect window — the other shards stay
+//             hot. When the window lapses the next operation reconnects.
+//             A dropped connection arms no window, so a shard bounced
+//             between two operations serves again by the second.
 //
 // Never re-route: a down shard's keys are trained locally, not diverted to
 // a surviving shard — diverting would both blur the claim-exclusivity
 // story (two daemons could grant the same key) and move keys that HRW
 // promises stay put.
+//
+// A one-URL map is the same router over one shard: every cache URL map,
+// 1 to N daemons, goes through make_sharded_cache_backend.
 //
 // Deployment guard: every daemon answers kShardInfo with a persistent
 // per-directory uid; verify_disjoint() cross-checks the map and reports
@@ -50,13 +48,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "net/backoff.h"
 #include "sched/cache_backend.h"
 #include "sched/remote_cache_backend.h"
 
@@ -86,26 +82,15 @@ namespace nnr::sched {
 [[nodiscard]] std::vector<std::string> split_cache_urls(
     const std::string& list);
 
-struct ShardedCacheOptions {
-  /// Per-shard client options (every shard gets the same ones).
-  RemoteCacheOptions remote;
-  /// Probe schedule for a down shard: first window, doubling per failed
-  /// probe up to the max, jittered ±50% (net::Backoff).
-  int probe_backoff_ms = 500;
-  int probe_backoff_max_ms = 8'000;
-  /// Jitter stream seed; 0 derives a per-process seed (production). Tests
-  /// pin a nonzero seed for a reproducible probe schedule.
-  std::uint64_t jitter_seed = 0;
-};
-
 class ShardedCacheBackend final : public CacheBackend {
  public:
   /// `urls` must be non-empty, each tcp://host:port, and pairwise distinct
   /// (two slots with one URL would be one daemon scored twice). Throws
   /// std::invalid_argument otherwise. Does not connect — first use does.
+  /// Every shard client gets `options`, with its jitter seed derived per
+  /// slot from options.jitter_seed (0: a per-process seed).
   explicit ShardedCacheBackend(const std::vector<std::string>& urls,
-                               ShardedCacheOptions options = {});
-  ~ShardedCacheBackend() override;
+                               RemoteCacheOptions options = {});
 
   // CacheBackend interface (doc contracts in sched/cache_backend.h).
   [[nodiscard]] std::optional<core::RunResult> load(
@@ -116,12 +101,13 @@ class ShardedCacheBackend final : public CacheBackend {
   [[nodiscard]] std::optional<CacheClaim> try_claim(
       const CellKey& key) override;
   [[nodiscard]] std::optional<CacheClaim> claim(const CellKey& key) override;
-  /// Sweeps every currently-reachable shard and sums the results; down
-  /// shards are skipped (their housekeeping waits for their revival).
+  /// Sweeps every shard and sums the results; a down shard contributes
+  /// nothing (its housekeeping waits for its revival).
   GcStats gc() override;
-  /// Sum over the shard clients' lifetime counters plus the misses this
-  /// composite recorded while short-circuiting ops to down shards.
+  /// Sum over the shard clients' lifetime counters (degraded misses
+  /// included — each client counts its own).
   [[nodiscard]] CacheStats stats() const override;
+  /// The comma-joined shard URLs: a one-URL map prints its bare URL.
   [[nodiscard]] std::string describe() const override;
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
@@ -133,7 +119,7 @@ class ShardedCacheBackend final : public CacheBackend {
   [[nodiscard]] const std::string& shard_url(std::size_t index) const;
   /// Direct access to one shard's client, for tests and shard-aware tools.
   [[nodiscard]] RemoteCacheBackend& shard(std::size_t index);
-  /// True when the composite currently fails fast for this shard's keys.
+  /// True while this shard's client fails fast (shard(i).retry_in_ms() > 0).
   [[nodiscard]] bool shard_marked_down(std::size_t index) const;
 
   /// Queries every shard's kShardInfo and cross-checks dir-disjointness.
@@ -144,27 +130,13 @@ class ShardedCacheBackend final : public CacheBackend {
   [[nodiscard]] std::optional<std::string> verify_disjoint();
 
  private:
-  struct ShardState;
-
-  /// Resolves `key` to its owner shard's client, honoring health: nullptr
-  /// means the owner is down (and not due a probe yet, or the probe just
-  /// failed) — the caller degrades to local recompute.
-  RemoteCacheBackend* route(const CellKey& key, std::size_t* index);
-  /// Post-delegation health check: a client left disconnected by its
-  /// operation marks its shard down and arms the probe backoff.
-  void note_shard_result(std::size_t index);
-  void count_degraded_miss(CacheStats* run);
-
-  std::vector<std::unique_ptr<ShardState>> shards_;
+  std::vector<std::string> urls_;
   std::vector<std::uint64_t> tags_;
-  std::string description_;
-
-  mutable std::mutex stats_mu_;
-  CacheStats degraded_;  // misses recorded while short-circuiting
+  std::vector<std::unique_ptr<RemoteCacheBackend>> shards_;
 };
 
-/// Sharded backend over `urls` with the same environment-derived per-shard
-/// options make_remote_cache_backend applies (NNR_CACHE_LEASE_MS etc.).
+/// The router over `urls` (one or more), every shard client configured
+/// from the environment (NNR_CACHE_LEASE_MS, NNR_CACHE_BACKOFF_MS etc.).
 /// Throws std::invalid_argument on a malformed or duplicated url.
 [[nodiscard]] std::unique_ptr<ShardedCacheBackend> make_sharded_cache_backend(
     const std::vector<std::string>& urls);

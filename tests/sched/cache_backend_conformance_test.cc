@@ -6,11 +6,13 @@
 // corrupt-payload-degrades-to-recompute policy — cannot drift between the
 // local, the remote, and the sharded implementation.
 //
+// The daemon-backed parameters also share the bounced-daemon case: a
+// daemon restarted between two operations serves again by the second.
+//
 // Remote-only behavior gets its own fixture below: lease TTL expiry
 // without heartbeats, heartbeat keepalive, release-on-disconnect (both the
 // clean close and a genuine SIGKILLed child process), degrade-to-recompute
-// when the daemon is down, reconnect after a daemon restart, and the
-// daemon's PUT validation.
+// when the daemon is down, and the daemon's PUT validation.
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -167,10 +169,20 @@ class CacheBackendConformance
           "tcp://127.0.0.1:" + std::to_string(server_.port()),
           fast_client_options());
     }
-    ShardedCacheOptions options;
-    options.remote = fast_client_options();
-    options.jitter_seed = 0x5EED;  // pinned: reproducible probe schedule
+    RemoteCacheOptions options = fast_client_options();
+    options.jitter_seed = 0x5EED;  // pinned: reproducible reconnect schedule
     return std::make_unique<ShardedCacheBackend>(shard_urls(), options);
+  }
+
+  /// Index of the shard daemon that owns `key`, by the same rendezvous
+  /// routing the backend uses (0 when there are no shard daemons).
+  [[nodiscard]] std::size_t owner_of(const CellKey& key) const {
+    if (shard_servers_.empty()) return 0;
+    std::vector<std::uint64_t> tags;
+    for (const std::string& url : shard_urls()) {
+      tags.push_back(shard_tag(url));
+    }
+    return pick_shard(key, tags);
   }
 
   /// On-disk entry path (all backends ultimately share the directory
@@ -181,12 +193,7 @@ class CacheBackendConformance
     if (shard_servers_.empty()) {
       return FsCacheBackend(dir_.string()).path_for(key);
     }
-    std::vector<std::uint64_t> tags;
-    for (const std::string& url : shard_urls()) {
-      tags.push_back(shard_tag(url));
-    }
-    const std::size_t owner = pick_shard(key, tags);
-    return FsCacheBackend(shard_dir(static_cast<int>(owner)).string())
+    return FsCacheBackend(shard_dir(static_cast<int>(owner_of(key))).string())
         .path_for(key);
   }
 
@@ -337,20 +344,58 @@ TEST_P(CacheBackendConformance, GcReportsRemainingEntries) {
   EXPECT_EQ(gc.evicted, 0);
 }
 
+std::string backend_name(
+    const ::testing::TestParamInfo<BackendKind>& info) {
+  switch (info.param) {
+    case BackendKind::kFs: return "Fs";
+    case BackendKind::kRemote: return "Remote";
+    case BackendKind::kSharded2: return "Sharded2";
+    case BackendKind::kSharded3: return "Sharded3";
+  }
+  return "Unknown";
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, CacheBackendConformance,
                          ::testing::Values(BackendKind::kFs,
                                            BackendKind::kRemote,
                                            BackendKind::kSharded2,
                                            BackendKind::kSharded3),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case BackendKind::kFs: return "Fs";
-                             case BackendKind::kRemote: return "Remote";
-                             case BackendKind::kSharded2: return "Sharded2";
-                             case BackendKind::kSharded3: return "Sharded3";
-                           }
-                           return "Unknown";
-                         });
+                         backend_name);
+
+/// The conformance fixture over the daemon-backed parameters only.
+class DaemonBackedConformance : public CacheBackendConformance {};
+
+TEST_P(DaemonBackedConformance, BouncedDaemonServesAgainOnTheNextOp) {
+  // Stop and restart one daemon (shard 1 of a map, or the one remote
+  // daemon) on the same directory and port between two operations. The
+  // first load finds its old connection gone and may miss; a dropped
+  // connection arms no reconnect window, so the next load must reconnect
+  // and hit — for a bare client and for a shard behind the router alike.
+  const bool sharded = !shard_servers_.empty();
+  CellKey key{3, 3};
+  while (sharded && owner_of(key) != 1) ++key.lo;
+  ASSERT_TRUE(backend_->store(key, sample_result()));
+  ASSERT_TRUE(backend_->load(key).has_value());
+
+  ServerHandle& daemon = sharded ? *shard_servers_[1] : server_;
+  const fs::path dir = sharded ? shard_dir(1) : dir_;
+  const std::uint16_t port = daemon.port();
+  daemon.stop();
+  ASSERT_TRUE(daemon.start(dir.string(), port));
+
+  (void)backend_->load(key, nullptr, /*count_miss=*/false);
+  const auto loaded = backend_->load(key, nullptr, /*count_miss=*/false);
+  ASSERT_TRUE(loaded.has_value())
+      << "the second operation after a bounce must reach the restarted "
+         "daemon";
+  expect_bitwise_equal(*loaded, sample_result());
+}
+
+INSTANTIATE_TEST_SUITE_P(Daemons, DaemonBackedConformance,
+                         ::testing::Values(BackendKind::kRemote,
+                                           BackendKind::kSharded2,
+                                           BackendKind::kSharded3),
+                         backend_name);
 
 // ---------------------------------------------------------------------------
 // Remote-only semantics: leases, heartbeats, death, degradation.
@@ -594,69 +639,6 @@ TEST_F(RemoteCacheTest, UnreachableDaemonDegradesToRecompute) {
   EXPECT_FALSE(backend.ping());
 }
 
-TEST_F(RemoteCacheTest, ReconnectsAfterDaemonRestart) {
-  ASSERT_TRUE(server_.start(dir_.string()));
-  const std::uint16_t port = server_.port();
-  auto backend = client(fast_client_options());
-  const CellKey key{3, 3};
-  ASSERT_TRUE(backend->store(key, sample_result()));
-  ASSERT_TRUE(backend->load(key).has_value());
-
-  server_.stop();
-  EXPECT_FALSE(backend->load(key).has_value())
-      << "down daemon must degrade to a miss";
-
-  // Same directory, same port: the restarted daemon still has the entry.
-  ServerHandle restarted;
-  ASSERT_TRUE(restarted.start(dir_.string(), port));
-  const auto deadline = Clock::now() + std::chrono::seconds(5);
-  std::optional<core::RunResult> loaded;
-  while (!loaded.has_value() && Clock::now() < deadline) {
-    loaded = backend->load(key, nullptr, /*count_miss=*/false);
-    if (!loaded.has_value()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
-  ASSERT_TRUE(loaded.has_value()) << "client must reconnect to a restarted "
-                                     "daemon";
-  expect_bitwise_equal(*loaded, sample_result());
-}
-
-TEST_F(RemoteCacheTest, ReconnectAfterExplicitDisconnectIsImmediate) {
-  // The sharded tier's probe path relies on disconnect() being a FULL
-  // per-connection reset: after it, the next operation must attempt a
-  // real connect immediately, not fail fast inside a backoff window armed
-  // by earlier failures.
-  ASSERT_TRUE(server_.start(dir_.string()));
-  const std::uint16_t port = server_.port();
-  RemoteCacheOptions options = fast_client_options();
-  options.reconnect_backoff_ms = 60'000;  // any armed window outlives the test
-  options.reconnect_backoff_max_ms = 120'000;
-  auto backend = client(options);
-  const CellKey key{4, 4};
-  ASSERT_TRUE(backend->store(key, sample_result()));
-
-  server_.stop();
-  // First failure drops the connection; the second attempts a reconnect,
-  // fails, and arms the 60s fail-fast window.
-  EXPECT_FALSE(backend->load(key).has_value());
-  EXPECT_FALSE(backend->load(key).has_value());
-
-  ServerHandle restarted;
-  ASSERT_TRUE(restarted.start(dir_.string(), port));
-  EXPECT_FALSE(backend->load(key, nullptr, /*count_miss=*/false).has_value())
-      << "inside the armed backoff window the client must fail fast, "
-         "daemon or no daemon";
-
-  backend->disconnect();
-  const auto loaded = backend->load(key, nullptr, /*count_miss=*/false);
-  ASSERT_TRUE(loaded.has_value())
-      << "disconnect() must clear the backoff window so the very next "
-         "operation reconnects";
-  expect_bitwise_equal(*loaded, sample_result());
-  EXPECT_TRUE(backend->connected());
-}
-
 TEST_F(RemoteCacheTest, ExplicitDisconnectReleasesLeases) {
   ASSERT_TRUE(server_.start(dir_.string()));
   auto holder = client(fast_client_options());
@@ -667,9 +649,9 @@ TEST_F(RemoteCacheTest, ExplicitDisconnectReleasesLeases) {
   ASSERT_TRUE(claim.has_value());
   EXPECT_FALSE(peer->try_claim(key).has_value());
 
-  // Explicit disconnect forgets the lease client-side (so the heartbeat
-  // thread stops renewing it) and the daemon frees it on the TCP close.
-  holder->disconnect();
+  // The daemon frees the lease on the TCP close; the holder's heartbeat
+  // over its next connection only collects kGone.
+  holder->drop_connection_for_test();
   EXPECT_FALSE(holder->connected());
   const auto start = Clock::now();
   std::optional<CacheClaim> reclaimed;
@@ -681,7 +663,7 @@ TEST_F(RemoteCacheTest, ExplicitDisconnectReleasesLeases) {
     }
   }
   EXPECT_TRUE(reclaimed.has_value())
-      << "an explicitly disconnected client's leases must be released";
+      << "a disconnected client's leases must be released";
   claim.reset();  // stale release after disconnect: harmless no-op
 }
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/backoff.h"
 #include "net/cache_protocol.h"
 #include "net/frame.h"
 #include "sched/cache_server.h"
@@ -511,6 +512,44 @@ TEST_F(FleetServerTest, ReconnectWindowsGrowExponentiallyWithBoundedAttempts) {
       "tcp://127.0.0.1:" + std::to_string(dead_port), options);
   (void)replay->fleet_queue_stat();
   EXPECT_EQ(replay->connect_attempts_for_test(), 1);
+}
+
+TEST_F(FleetServerTest, RetryLoopMakesAConnectAttemptEveryTry) {
+  // retry_with_window() never wakes inside the client's armed reconnect
+  // window, so N tries against a refused port are N connect attempts. A
+  // fixed schedule shorter than the window (the old startup ping: 5 pings
+  // 200ms apart under a 500ms window) lands retries inside it, where they
+  // fail fast without touching the socket.
+  const std::uint16_t dead_port = server_.port();
+  server_.stop();
+  RemoteCacheOptions options = fast_options();
+  options.reconnect_backoff_ms = 100;
+  options.reconnect_backoff_max_ms = 200;
+  options.jitter_seed = 7;
+  RemoteCacheBackend backend("tcp://127.0.0.1:" + std::to_string(dead_port),
+                             options);
+  net::Jitter jitter(7);
+  int tries = 0;
+  EXPECT_FALSE(retry_with_window(backend, /*attempts=*/5, /*base_ms=*/10,
+                                 jitter, [&] {
+                                   ++tries;
+                                   return backend.ping();
+                                 }));
+  EXPECT_EQ(tries, 5);
+  EXPECT_EQ(backend.connect_attempts_for_test(), 5)
+      << "every retry must wait out the reconnect window and really connect";
+  EXPECT_GT(backend.retry_in_ms(), 0) << "the last failure arms a window";
+
+  // Against a live daemon the first try succeeds and nothing is retried.
+  ASSERT_TRUE(server_.start(dir_.string()));
+  auto live = client();
+  tries = 0;
+  EXPECT_TRUE(retry_with_window(*live, 5, 10, jitter, [&] {
+    ++tries;
+    return live->ping();
+  }));
+  EXPECT_EQ(tries, 1);
+  EXPECT_EQ(live->retry_in_ms(), 0);
 }
 
 }  // namespace

@@ -7,11 +7,11 @@
 //      header promises; they are what make the sharded tier's placement
 //      replayable and its rebalancing cost bounded.
 //
-//   2. Composite-behavior suite (in-process CacheServer shards): keys land
+//   2. Router-behavior suite (in-process CacheServer shards): keys land
 //      in their owner shard's directory, a down shard degrades only its
 //      own key range while the others stay hot, a revived shard turns
-//      back into hits on the probe schedule, and verify_disjoint catches
-//      two shard slots backed by one directory.
+//      back into hits once its client's reconnect window lapses, and
+//      verify_disjoint catches two shard slots backed by one directory.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -172,7 +172,7 @@ TEST(ShardedConstructionTest, RejectsEmptyDuplicateAndMalformedMaps) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier 2: composite behavior against in-process shard daemons.
+// Tier 2: router behavior against in-process shard daemons.
 // ---------------------------------------------------------------------------
 
 /// An in-process daemon on an ephemeral loopback port (same shape as the
@@ -242,18 +242,17 @@ class ShardedCacheTest : public ::testing::Test {
     return out;
   }
 
-  /// A composite with fast timeouts, a pinned jitter seed, and a probe
-  /// schedule the caller picks: long (probes never fire inside a test)
-  /// or short (revival tests poll across it).
-  std::unique_ptr<ShardedCacheBackend> make_backend(int probe_ms = 60'000) {
-    ShardedCacheOptions options;
-    options.remote.lease_ttl_ms = 2000;
-    options.remote.io_timeout_ms = 2000;
-    options.remote.connect_timeout_ms = 500;
-    options.remote.reconnect_backoff_ms = 50;
-    options.remote.claim_poll_ms = 10;
-    options.probe_backoff_ms = probe_ms;
-    options.probe_backoff_max_ms = std::max(probe_ms, 60'000);
+  /// A router with fast timeouts, a pinned jitter seed, and a reconnect
+  /// window the caller picks: long (a failed connect stays failed for the
+  /// rest of the test) or short (revival tests poll across it).
+  std::unique_ptr<ShardedCacheBackend> make_backend(int backoff_ms = 60'000) {
+    RemoteCacheOptions options;
+    options.lease_ttl_ms = 2000;
+    options.io_timeout_ms = 2000;
+    options.connect_timeout_ms = 500;
+    options.reconnect_backoff_ms = backoff_ms;
+    options.reconnect_backoff_max_ms = std::max(backoff_ms, 60'000);
+    options.claim_poll_ms = 10;
     options.jitter_seed = 0x5EED;
     return std::make_unique<ShardedCacheBackend>(urls(), options);
   }
@@ -295,7 +294,7 @@ TEST_F(ShardedCacheTest, StoresLandInTheOwnerShardsDirectory) {
 
 TEST_F(ShardedCacheTest, DownShardDegradesOnlyItsOwnKeyRange) {
   start_shards(3);
-  auto backend = make_backend();  // probes never fire during this test
+  auto backend = make_backend();  // a failed reconnect stays failed
   const CellKey key0 = key_owned_by(*backend, 0);
   const CellKey key2 = key_owned_by(*backend, 2);
   ASSERT_TRUE(backend->store(key0, sample_result()));
@@ -304,11 +303,13 @@ TEST_F(ShardedCacheTest, DownShardDegradesOnlyItsOwnKeyRange) {
   shards_[2]->stop();
 
   // The dead shard's keys degrade: miss, dropped store, local no-op claim.
+  // The load drops the dead connection; the store's reconnect fails and
+  // arms the client's window, which marks the shard down.
   CacheStats run;
   EXPECT_FALSE(backend->load(key2, &run).has_value());
   EXPECT_EQ(run.misses, 1);
-  EXPECT_TRUE(backend->shard_marked_down(2));
   EXPECT_FALSE(backend->store(key2, sample_result(), &run));
+  EXPECT_TRUE(backend->shard_marked_down(2));
   EXPECT_TRUE(backend->try_claim(key2).has_value())
       << "degraded claims must grant a local no-op (train, don't wedge)";
   EXPECT_TRUE(backend->claim(key2).has_value());
@@ -323,13 +324,14 @@ TEST_F(ShardedCacheTest, DownShardDegradesOnlyItsOwnKeyRange) {
 
 TEST_F(ShardedCacheTest, RevivedShardTurnsBackIntoHitsViaProbes) {
   start_shards(2);
-  auto backend = make_backend(/*probe_ms=*/50);
+  auto backend = make_backend(/*backoff_ms=*/50);
   const CellKey key = key_owned_by(*backend, 1);
   ASSERT_TRUE(backend->store(key, sample_result()));
 
   const std::uint16_t port = shards_[1]->port();
   shards_[1]->stop();
-  EXPECT_FALSE(backend->load(key).has_value());
+  EXPECT_FALSE(backend->load(key).has_value());  // drops the connection
+  EXPECT_FALSE(backend->load(key).has_value());  // reconnect fails
   EXPECT_TRUE(backend->shard_marked_down(1));
 
   // Same directory, same port — the revived shard still holds the entry.
@@ -343,7 +345,7 @@ TEST_F(ShardedCacheTest, RevivedShardTurnsBackIntoHitsViaProbes) {
     }
   }
   ASSERT_TRUE(loaded.has_value())
-      << "probe schedule must fold a revived shard back in";
+      << "the client's reconnect window must fold a revived shard back in";
   EXPECT_FALSE(backend->shard_marked_down(1));
 }
 
@@ -385,7 +387,7 @@ TEST_F(ShardedCacheTest, ShardInfoPersistsDirUidAndBumpsBootEpoch) {
   const std::uint16_t port = shards_[0]->port();
   shards_[0]->stop();
   ASSERT_TRUE(shards_[0]->start(shard_dir(0).string(), port));
-  client->disconnect();
+  client->drop_connection_for_test();
   const auto second = client->shard_info();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->dir_uid, first->dir_uid);
@@ -407,11 +409,11 @@ TEST_F(ShardedCacheTest, StatsSumAcrossShardsAndCountDegradedMisses) {
   EXPECT_EQ(stats.hits, 2);
 
   shards_[1]->stop();
-  EXPECT_FALSE(backend->load(key1).has_value());  // marks shard 1 down
-  EXPECT_FALSE(backend->load(key1).has_value());  // short-circuited miss
+  EXPECT_FALSE(backend->load(key1).has_value());  // drops the connection
+  EXPECT_FALSE(backend->load(key1).has_value());  // reconnect fails
   stats = backend->stats();
   EXPECT_GE(stats.misses, 2)
-      << "misses on a down shard must be visible in the composite stats";
+      << "misses on a down shard must be visible in the router's stats";
 }
 
 TEST_F(ShardedCacheTest, GcSweepsReachableShardsAndSumsTotals) {

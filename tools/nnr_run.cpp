@@ -24,7 +24,6 @@
 //   nnr_run --worker --cache-url tcp://cachehost:9776
 //   nnr_run --list
 //   nnr_run --task resnet18_c100 --all-variants --csv
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,7 +33,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/env.h"
@@ -42,6 +40,7 @@
 #include "core/table.h"
 #include "core/tasks.h"
 #include "hw/device.h"
+#include "net/backoff.h"
 #include "opt/adam.h"
 #include "opt/rmsprop.h"
 #include "opt/sgd.h"
@@ -500,6 +499,17 @@ std::unique_ptr<sched::CacheBackend> make_backend(const Options& opts) {
   }
 }
 
+/// The router over --cache-url's shard map, for the fleet modes: one
+/// client per daemon, the queue on shard 0.
+std::unique_ptr<sched::ShardedCacheBackend> make_router(const Options& opts) {
+  try {
+    return sched::make_sharded_cache_backend(
+        sched::split_cache_urls(opts.cache_url));
+  } catch (const std::invalid_argument& error) {
+    usage_error(error.what());
+  }
+}
+
 int run_cache_gc(const Options& opts) {
   auto backend = make_backend(opts);
   if (backend == nullptr) {
@@ -641,51 +651,29 @@ int run_fleet_submit_mode(const Options& opts) {
   // docs/nnr_run.md: the submit-time "already cached" dedupe only sees the
   // queue shard's directory, so keys owned by other shards enqueue and are
   // then reported kServed by the first worker to fetch them.
-  const std::vector<std::string> urls =
-      sched::split_cache_urls(opts.cache_url);
-  std::unique_ptr<sched::RemoteCacheBackend> backend;
-  try {
-    if (urls.empty()) {
-      throw std::invalid_argument("--submit requires --cache-url");
-    }
-    backend = sched::make_remote_cache_backend(urls[0]);
-  } catch (const std::invalid_argument& error) {
-    usage_error(error.what());
-  }
+  auto router = make_router(opts);
+  sched::RemoteCacheBackend& queue = router->shard(0);
   // Unlike caching (where an unreachable daemon degrades to local compute),
   // the coordinator's entire job is the daemon — fail loudly up front. A
   // few retries first, so one lost frame on a flaky link (or a daemon a
   // beat behind its supervisor) doesn't abort the wave before it starts.
-  bool reachable = false;
-  for (int attempt = 0; attempt < 5 && !reachable; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-    reachable = backend->ping();
-  }
-  if (!reachable) {
+  net::Jitter jitter(net::default_jitter_seed());
+  if (!sched::retry_with_window(queue, /*attempts=*/5, /*base_ms=*/200,
+                                jitter, [&] { return queue.ping(); })) {
     std::fprintf(stderr, "nnr_run: --submit: no nnr_cached daemon at %s\n",
-                 urls[0].c_str());
+                 queue.describe().c_str());
     return 1;
   }
-  if (urls.size() > 1) {
-    // A shard map whose entries share a cache directory would let one
-    // daemon answer for another shard's keys — wave results would depend
-    // on which client connected first. Refuse to start the wave.
-    std::unique_ptr<sched::ShardedCacheBackend> sharded;
-    try {
-      sharded = sched::make_sharded_cache_backend(urls);
-    } catch (const std::invalid_argument& error) {
-      usage_error(error.what());
-    }
-    if (const auto violation = sharded->verify_disjoint()) {
-      std::fprintf(stderr, "nnr_run: --submit: %s\n", violation->c_str());
-      return 1;
-    }
+  // A shard map whose entries share a cache directory would let one
+  // daemon answer for another shard's keys — wave results would depend
+  // on which client connected first. Refuse to start the wave.
+  if (const auto violation = router->verify_disjoint()) {
+    std::fprintf(stderr, "nnr_run: --submit: %s\n", violation->c_str());
+    return 1;
   }
   sched::FleetSubmitOptions fleet_opts;
   const auto summary = sched::fleet_submit_and_wait(
-      *backend, opts.submit_studies, fleet_opts);
+      queue, opts.submit_studies, fleet_opts);
   if (!summary.has_value()) return 1;
   if (summary->failed > 0) {
     std::fprintf(stderr,
@@ -694,7 +682,7 @@ int run_fleet_submit_mode(const Options& opts) {
                  static_cast<unsigned long long>(summary->failed),
                  sched::FleetQueue::kMaxAttempts);
   }
-  backend.reset();  // the replay opens its own connection
+  router.reset();  // the replay opens its own connections
 
   Options warm = opts;
   warm.studies = opts.submit_studies;
@@ -704,21 +692,8 @@ int run_fleet_submit_mode(const Options& opts) {
 int run_fleet_worker_mode(const Options& opts) {
   // Queue RPCs (FETCH/REPORT) go to the first shard — the queue daemon.
   // Entry traffic (the load-before-train and the PUT) goes through the
-  // sharded tier when the map has more than one shard, so every result
-  // lands on its key's owner daemon.
-  const std::vector<std::string> urls =
-      sched::split_cache_urls(opts.cache_url);
-  std::unique_ptr<sched::RemoteCacheBackend> backend;
-  std::unique_ptr<sched::ShardedCacheBackend> cache;
-  try {
-    if (urls.empty()) {
-      throw std::invalid_argument("--worker requires --cache-url");
-    }
-    backend = sched::make_remote_cache_backend(urls[0]);
-    if (urls.size() > 1) cache = sched::make_sharded_cache_backend(urls);
-  } catch (const std::invalid_argument& error) {
-    usage_error(error.what());
-  }
+  // router, so every result lands on its key's owner daemon.
+  const auto router = make_router(opts);
   apply_thread_flag(opts.threads);
   sched::FleetWorkerOptions worker_opts;
   // Chaos scripts crank these up so a worker rides out a shard restart
@@ -732,7 +707,7 @@ int run_fleet_worker_mode(const Options& opts) {
     worker_opts.store_retry_ms = ms;
   }
   const sched::FleetWorkerSummary summary =
-      sched::fleet_run_worker(*backend, worker_opts, cache.get());
+      sched::fleet_run_worker(router->shard(0), worker_opts, router.get());
   std::fprintf(stderr, "[worker] fetched=%lld trained=%lld served=%lld "
                "failed=%lld\n",
                static_cast<long long>(summary.fetched),
