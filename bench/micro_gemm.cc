@@ -1,6 +1,7 @@
 // Micro benchmarks for the tensor fast path: GEMM (blocked engine vs the
 // seed reference loop, per accumulation order and B layout), transpose,
-// im2col, and a Conv2D forward/backward step at paper-relevant shapes.
+// im2col, col2im, and a Conv2D forward/backward step at paper-relevant
+// shapes.
 // Emits BENCH_tensor.json (path = argv[1], default ./BENCH_tensor.json) so
 // the repo's perf trajectory is recorded and regressions are visible in CI.
 //
@@ -163,6 +164,9 @@ int main(int argc, char** argv) {
     nnr::runtime::ThreadPool::set_global_threads(0);
   }
 
+  // The data-movement and conv rows run on the default pool (NNR_THREADS).
+  const int pool_threads = nnr::runtime::ThreadPool::global().size();
+
   // --- Transpose at a Conv2D::backward-like shape (patch x pixels). --------
   {
     const std::int64_t r = quick ? 288 : 1152;  // 128 * 3 * 3
@@ -171,12 +175,12 @@ int main(int argc, char** argv) {
     Tensor out(Shape{cdim, r});
     const double ns =
         ns_per_step([&] { nnr::tensor::transpose(in, out); }, reps);
-    rows.push_back({"transpose", dims({r, cdim}), 1, ns, 0.0, 0.0});
+    rows.push_back({"transpose", dims({r, cdim}), pool_threads, ns, 0.0, 0.0});
     std::printf("%-28s %s  %10.0f ns\n", "transpose", dims({r, cdim}).c_str(),
                 ns);
   }
 
-  // --- im2col + Conv2D step at the paper's CIFAR block shape. --------------
+  // --- im2col, col2im + Conv2D step at the paper's CIFAR block shape. ------
   {
     const std::int64_t batch = quick ? 8 : 32;
     const nnr::tensor::ConvGeometry g{.batch = batch,
@@ -188,14 +192,19 @@ int main(int argc, char** argv) {
                                       .pad = 1};
     const Tensor input =
         random_tensor(Shape{g.batch, g.in_channels, g.in_h, g.in_w}, 4);
-    Tensor cols(Shape{g.out_pixels(), g.patch_size()});
+    const std::string shape = dims({batch, g.in_channels, g.in_h, g.in_w});
+    Tensor cols(Shape{g.patch_size(), g.out_pixels()});
     const double ns =
         ns_per_step([&] { nnr::tensor::im2col(input, g, cols); }, reps);
-    rows.push_back({"im2col_k3s1p1",
-                    dims({batch, g.in_channels, g.in_h, g.in_w}), 1, ns, 0.0,
-                    0.0});
-    std::printf("%-28s %s  %10.0f ns\n", "im2col_k3s1p1",
-                dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), ns);
+    rows.push_back({"im2col_k3s1p1", shape, pool_threads, ns, 0.0, 0.0});
+    std::printf("%-28s %s  %10.0f ns\n", "im2col_k3s1p1", shape.c_str(), ns);
+    Tensor grad(input.shape());
+    const double col2im_ns =
+        ns_per_step([&] { nnr::tensor::col2im(cols, g, grad); }, reps);
+    rows.push_back(
+        {"col2im_k3s1p1", shape, pool_threads, col2im_ns, 0.0, 0.0});
+    std::printf("%-28s %s  %10.0f ns\n", "col2im_k3s1p1", shape.c_str(),
+                col2im_ns);
 
     nnr::hw::ExecutionContext hw_ctx(nnr::hw::v100(),
                                      nnr::hw::DeterminismMode::kDeterministic,
@@ -217,16 +226,12 @@ int main(int argc, char** argv) {
           (void)conv.backward(grad_out, ctx);
         },
         reps);
-    rows.push_back({"conv2d_forward",
-                    dims({batch, g.in_channels, g.in_h, g.in_w}), 1, fwd_ns,
-                    0.0, 0.0});
-    rows.push_back({"conv2d_fwd_bwd",
-                    dims({batch, g.in_channels, g.in_h, g.in_w}), 1, bwd_ns,
-                    0.0, 0.0});
-    std::printf("%-28s %s  %10.0f ns\n", "conv2d_forward",
-                dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), fwd_ns);
-    std::printf("%-28s %s  %10.0f ns\n", "conv2d_fwd_bwd",
-                dims({batch, g.in_channels, g.in_h, g.in_w}).c_str(), bwd_ns);
+    rows.push_back({"conv2d_forward", shape, pool_threads, fwd_ns, 0.0, 0.0});
+    rows.push_back({"conv2d_fwd_bwd", shape, pool_threads, bwd_ns, 0.0, 0.0});
+    std::printf("%-28s %s  %10.0f ns\n", "conv2d_forward", shape.c_str(),
+                fwd_ns);
+    std::printf("%-28s %s  %10.0f ns\n", "conv2d_fwd_bwd", shape.c_str(),
+                bwd_ns);
   }
 
   emit_json(out_path, rows, quick);

@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "nn/init.h"
@@ -17,12 +18,12 @@ namespace {
 
 // Workspace slot map for Conv2D (keyed by the layer pointer).
 enum ConvSlot : int {
-  kCols = 0,    // [P, K] patch matrix; written by forward, read by backward
-  kOutPc,       // [P, C] forward GEMM output
-  kDyPc,        // [P, C] grad repack
-  kDyCp,        // [C, P] grad repack (transposed)
+  kCols = 0,    // [K, P] patch matrix; written by forward, read by backward
+  kOutCp,       // [C, P] forward GEMM output
+  kDyCp,        // [C, P] grad repack
+  kWt,          // [K, C] transposed weights
   kDwStage,     // [C, K] weight-gradient staging
-  kDCols,       // [P, K] patch-gradient matrix
+  kDCols,       // [K, P] patch-gradient matrix
 };
 
 }  // namespace
@@ -65,29 +66,26 @@ Tensor Conv2D::forward(const Tensor& input, RunContext& ctx) {
   const std::int64_t oh = geom_.out_h();
   const std::int64_t ow = geom_.out_w();
 
-  Tensor& cols = ws.scratch(this, kCols, Shape{pixels, patch});
+  Tensor& cols = ws.scratch(this, kCols, Shape{patch, pixels});
   tensor::im2col(input, geom_, cols);
 
-  // out_pc[p, c] = <patch p, filter c>
-  Tensor& out_pc = ws.scratch(this, kOutPc, Shape{pixels, out_channels_});
-  tensor::gemm_nt(cols, weight_.value, out_pc, ctx.hw->matmul_policy());
+  // out_cp[c, p] = <filter c, patch p>
+  Tensor& out_cp = ws.scratch(this, kOutCp, Shape{out_channels_, pixels});
+  tensor::gemm_nn(weight_.value, cols, out_cp, ctx.hw->matmul_policy());
 
-  // Repack [P, C] -> NCHW and add bias (elementwise; no reduction).
+  // Repack [C, P] -> NCHW and add bias (elementwise; no reduction): one
+  // contiguous run of OH*OW pixels per (n, c).
   Tensor output(Shape{geom_.batch, out_channels_, oh, ow});
-  const float* src = out_pc.raw();
-  const float* b = bias_.value.raw();
-  float* dst = output.raw();
   const std::int64_t ohw = oh * ow;
-  const std::int64_t out_c = out_channels_;
   runtime::ThreadPool::global().parallel_for(
-      0, geom_.batch, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (std::int64_t n = n0; n < n1; ++n) {
-          for (std::int64_t p = 0; p < ohw; ++p) {
-            const float* row = src + (n * ohw + p) * out_c;
-            for (std::int64_t c = 0; c < out_c; ++c) {
-              dst[(n * out_c + c) * ohw + p] = row[c] + b[c];
-            }
-          }
+      0, geom_.batch * out_channels_, 1, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          const std::int64_t c = i % out_channels_;
+          const float* row =
+              out_cp.raw() + c * pixels + i / out_channels_ * ohw;
+          const float bias = bias_.value.at(c);
+          std::transform(row, row + ohw, output.raw() + i * ohw,
+                         [bias](float v) { return v + bias; });
         }
       });
   return output;
@@ -105,47 +103,35 @@ Tensor Conv2D::backward(const Tensor& grad_output, RunContext& ctx) {
   const std::int64_t patch = geom_.patch_size();
   assert(grad_output.shape() == (Shape{geom_.batch, out_channels_, oh, ow}));
 
-  Tensor& cols = ws.scratch(this, kCols, Shape{pixels, patch});
+  Tensor& cols = ws.scratch(this, kCols, Shape{patch, pixels});
 
-  // NCHW -> [P, C] (and its transpose [C, P]) for the two GEMMs below.
-  Tensor& dy_pc = ws.scratch(this, kDyPc, Shape{pixels, out_channels_});
+  // NCHW -> [C, P] for the GEMMs below: one contiguous run per (n, c).
   Tensor& dy_cp = ws.scratch(this, kDyCp, Shape{out_channels_, pixels});
-  {
-    const float* src = grad_output.raw();
-    float* pc = dy_pc.raw();
-    float* cp = dy_cp.raw();
-    const std::int64_t out_c = out_channels_;
-    runtime::ThreadPool::global().parallel_for(
-        0, geom_.batch, 1, [&](std::int64_t n0, std::int64_t n1) {
-          for (std::int64_t n = n0; n < n1; ++n) {
-            for (std::int64_t c = 0; c < out_c; ++c) {
-              const float* plane = src + (n * out_c + c) * ohw;
-              for (std::int64_t p = 0; p < ohw; ++p) {
-                pc[(n * ohw + p) * out_c + c] = plane[p];
-                cp[c * pixels + n * ohw + p] = plane[p];
-              }
-            }
-          }
-        });
-  }
+  runtime::ThreadPool::global().parallel_for(
+      0, geom_.batch * out_channels_, 1, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          const float* plane = grad_output.raw() + i * ohw;
+          std::copy(plane, plane + ohw,
+                    dy_cp.raw() + i % out_channels_ * pixels +
+                        i / out_channels_ * ohw);
+        }
+      });
 
-  // dW[c, k] = sum_p dy[p, c] * cols[p, k] — contraction over batch*pixels.
-  {
-    Tensor& dw = ws.scratch(this, kDwStage, Shape{out_channels_, patch});
-    tensor::gemm_nn(dy_cp, cols, dw, ctx.hw->matmul_policy());
-    tensor::axpy(1.0F, dw.data(), weight_.grad.data());
-  }
+  // dW[c, k] = sum_p dy[c, p] * cols[k, p] — contraction over batch*pixels.
+  Tensor& dw = ws.scratch(this, kDwStage, Shape{out_channels_, patch});
+  tensor::gemm_nt(dy_cp, cols, dw, ctx.hw->matmul_policy());
+  tensor::axpy(1.0F, dw.data(), weight_.grad.data());
 
-  // db[c] = sum_p dy[p, c] — a pure reduction (CUDA-core fallback on TC).
-  {
-    std::vector<float> db(static_cast<std::size_t>(out_channels_));
-    tensor::reduce_rows(dy_cp, db, ctx.hw->reduction_policy());
-    tensor::axpy(1.0F, db, bias_.grad.data());
-  }
+  // db[c] = sum_p dy[c, p] — a pure reduction (CUDA-core fallback on TC).
+  std::vector<float> db(static_cast<std::size_t>(out_channels_));
+  tensor::reduce_rows(dy_cp, db, ctx.hw->reduction_policy());
+  tensor::axpy(1.0F, db, bias_.grad.data());
 
-  // dcols[p, k] = sum_c dy[p, c] * W[c, k]
-  Tensor& dcols = ws.scratch(this, kDCols, Shape{pixels, patch});
-  tensor::gemm_nn(dy_pc, weight_.value, dcols, ctx.hw->matmul_policy());
+  // dcols[k, p] = sum_c W[c, k] * dy[c, p]
+  Tensor& w_t = ws.scratch(this, kWt, Shape{patch, out_channels_});
+  tensor::transpose(weight_.value, w_t);
+  Tensor& dcols = ws.scratch(this, kDCols, Shape{patch, pixels});
+  tensor::gemm_nn(w_t, dy_cp, dcols, ctx.hw->matmul_policy());
 
   Tensor grad_input(
       Shape{geom_.batch, in_channels_, geom_.in_h, geom_.in_w});

@@ -1,11 +1,12 @@
 // Conv2D: convolution lowered to im2col + policy-driven GEMM.
 //
-// Weight layout is [out_channels, in_channels * k * k] with the contraction
-// axis contiguous, matching the gemm_nt convention of the forward GEMM; the
-// backward GEMMs read it and the patch matrix in place through gemm_nn. The
-// weight-gradient GEMM contracts over the batch*pixels axis — this is the
-// reduction whose float32 ordering makes training sensitive to both
-// scheduler interleaving (IMPL noise) and input ordering (paper Fig. 6).
+// Weight layout is [out_channels, in_channels * k * k]; the patch matrix is
+// [in_channels * k * k, batch * pixels] (tensor/im2col.h). The forward GEMM
+// is W · cols, the weight gradient dy · colsᵀ and the patch gradient
+// Wᵀ · dy, all reading the patch matrix in place. The weight-gradient GEMM
+// contracts over the batch*pixels axis — this is the reduction whose float32
+// ordering makes training sensitive to both scheduler interleaving (IMPL
+// noise) and input ordering (paper Fig. 6).
 #pragma once
 
 #include <cstdint>
@@ -46,14 +47,14 @@ class Conv2D final : public Layer {
   Param weight_;  // [out_c, in_c*k*k]
   Param bias_;    // [out_c]
 
-  // Per-batch caches for backward. The patch matrix, the gradient repacks and
-  // the GEMM outputs live in the run's Workspace (slot-addressed by `this`),
-  // so step N+1 reuses step N's buffers instead of reallocating; the backward
-  // GEMMs read the patch matrix and the weights in place (gemm_nn), so no
-  // transposed copy is kept. fallback_ws_ serves callers that run without a
-  // context arena. backward() reads the patch matrix from the arena forward()
-  // wrote it to (active_ws_), so a context-arena swap between the two calls
-  // cannot silently hand backward a zeroed buffer.
+  // Per-batch caches for backward. The patch matrix, the gradient repack,
+  // the transposed weights and the GEMM outputs live in the run's Workspace
+  // (slot-addressed by `this`; the slot map is in conv2d.cc), so step N+1
+  // reuses step N's buffers instead of reallocating. fallback_ws_ serves
+  // callers that run without a context arena. backward() reads the patch
+  // matrix from the arena forward() wrote it to (active_ws_), so a
+  // context-arena swap between the two calls cannot silently hand backward a
+  // zeroed buffer.
   tensor::ConvGeometry geom_{};
   tensor::Workspace fallback_ws_;
   tensor::Workspace* active_ws_ = nullptr;

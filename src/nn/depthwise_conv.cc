@@ -1,5 +1,6 @@
 #include "nn/depthwise_conv.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "nn/init.h"
@@ -14,18 +15,12 @@ using tensor::Tensor;
 
 namespace {
 
-/// Copies channel `c` of an NCHW tensor into a [N, 1, H, W] single-channel
-/// tensor (channel planes are contiguous per sample).
-void slice_channel(const Tensor& x, std::int64_t c, Tensor& out) {
-  const std::int64_t n = x.shape()[0];
-  const std::int64_t channels = x.shape()[1];
-  const std::int64_t hw = x.shape()[2] * x.shape()[3];
-  const float* src = x.raw();
-  float* dst = out.raw();
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    const float* plane = src + (ni * channels + c) * hw;
-    float* row = dst + ni * hw;
-    for (std::int64_t p = 0; p < hw; ++p) row[p] = plane[p];
+/// Copies `n` runs of `len` floats spaced `src_step` apart to runs spaced
+/// `dst_step` apart: one channel's planes between NCHW and [N, 1, H, W].
+void copy_runs(const float* src, std::int64_t src_step, float* dst,
+               std::int64_t dst_step, std::int64_t n, std::int64_t len) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::copy(src + i * src_step, src + i * src_step + len, dst + i * dst_step);
   }
 }
 
@@ -66,25 +61,27 @@ Tensor DepthwiseConv2D::forward(const Tensor& input, RunContext& ctx) {
   const std::int64_t oh = geom_.out_h();
   const std::int64_t ow = geom_.out_w();
   const std::int64_t ohw = oh * ow;
+  const std::int64_t in_hw = geom_.in_h * geom_.in_w;
 
   Tensor output(Shape{n, channels_, oh, ow});
   Tensor channel(Shape{n, 1, geom_.in_h, geom_.in_w});
-  Tensor out_p(Shape{pixels, 1});
+  Tensor out_p(Shape{1, pixels});
   Tensor w_row(Shape{1, taps});
   cols_.assign(static_cast<std::size_t>(channels_),
-               Tensor(Shape{pixels, taps}));
+               Tensor(Shape{taps, pixels}));
 
   const float* w = weight_.value.raw();
   const float* b = bias_.value.raw();
   float* dst = output.raw();
   for (std::int64_t c = 0; c < channels_; ++c) {
-    slice_channel(input, c, channel);
+    copy_runs(input.raw() + c * in_hw, channels_ * in_hw, channel.raw(), in_hw,
+              n, in_hw);
     Tensor& cols = cols_[static_cast<std::size_t>(c)];
     tensor::im2col(channel, geom_, cols);
     for (std::int64_t t = 0; t < taps; ++t) w_row.at(t) = w[c * taps + t];
-    // out_p[p] = <patch p, filter c>: one GEMM launch per channel, exactly
+    // out_p[p] = <filter c, patch p>: one GEMM launch per channel, exactly
     // how depthwise kernels schedule channel-parallel blocks.
-    tensor::gemm_nt(cols, w_row, out_p, ctx.hw->matmul_policy());
+    tensor::gemm_nn(w_row, cols, out_p, ctx.hw->matmul_policy());
     for (std::int64_t ni = 0; ni < n; ++ni) {
       float* plane = dst + (ni * channels_ + c) * ohw;
       const float* src_p = out_p.raw() + ni * ohw;
@@ -106,10 +103,9 @@ Tensor DepthwiseConv2D::backward(const Tensor& grad_output, RunContext& ctx) {
 
   Tensor grad_input(Shape{n, channels_, geom_.in_h, geom_.in_w});
   Tensor dy_1p(Shape{1, pixels});
-  Tensor dy_p1(Shape{pixels, 1});
   Tensor dw_row(Shape{1, taps});
   Tensor w_t1(Shape{taps, 1});
-  Tensor dcols(Shape{pixels, taps});
+  Tensor dcols(Shape{taps, pixels});
   Tensor dchannel(Shape{n, 1, geom_.in_h, geom_.in_w});
 
   const float* dy = grad_output.raw();
@@ -121,31 +117,22 @@ Tensor DepthwiseConv2D::backward(const Tensor& grad_output, RunContext& ctx) {
 
   for (std::int64_t c = 0; c < channels_; ++c) {
     const Tensor& cols = cols_[static_cast<std::size_t>(c)];
-    for (std::int64_t ni = 0; ni < n; ++ni) {
-      const float* plane = dy + (ni * channels_ + c) * ohw;
-      for (std::int64_t p = 0; p < ohw; ++p) {
-        dy_1p.at(0, ni * ohw + p) = plane[p];
-        dy_p1.at(ni * ohw + p, 0) = plane[p];
-      }
-    }
+    copy_runs(dy + c * ohw, channels_ * ohw, dy_1p.raw(), ohw, n, ohw);
 
-    // dW[c, t] = sum_p dy[p] * cols[p, t] — the batch*pixels contraction.
-    tensor::gemm_nn(dy_1p, cols, dw_row, ctx.hw->matmul_policy());
+    // dW[c, t] = sum_p dy[p] * cols[t, p] — the batch*pixels contraction.
+    tensor::gemm_nt(dy_1p, cols, dw_row, ctx.hw->matmul_policy());
     for (std::int64_t t = 0; t < taps; ++t) dw[c * taps + t] += dw_row.at(t);
 
     // db[c] = sum_p dy[p] — a pure reduction.
     db[c] += tensor::reduce_sum(dy_1p.data(), ctx.hw->reduction_policy());
 
-    // dcols[p, t] = dy[p] * W[c, t] (K = 1 contraction).
+    // dcols[t, p] = W[c, t] * dy[p] (K = 1 contraction).
     for (std::int64_t t = 0; t < taps; ++t) w_t1.at(t, 0) = w[c * taps + t];
-    tensor::gemm_nt(dy_p1, w_t1, dcols, ctx.hw->matmul_policy());
+    tensor::gemm_nn(w_t1, dy_1p, dcols, ctx.hw->matmul_policy());
 
     tensor::col2im(dcols, geom_, dchannel);
-    for (std::int64_t ni = 0; ni < n; ++ni) {
-      float* plane = dx + (ni * channels_ + c) * in_hw;
-      const float* src_p = dchannel.raw() + ni * in_hw;
-      for (std::int64_t p = 0; p < in_hw; ++p) plane[p] = src_p[p];
-    }
+    copy_runs(dchannel.raw(), in_hw, dx + c * in_hw, channels_ * in_hw, n,
+              in_hw);
   }
   return grad_input;
 }

@@ -50,7 +50,7 @@ class DepthwiseConv2D final : public Layer {
 
   // Per-batch caches for backward: one patch matrix per channel.
   tensor::ConvGeometry geom_{};  // single-channel geometry
-  std::vector<tensor::Tensor> cols_;  // [C] of [P, k*k]
+  std::vector<tensor::Tensor> cols_;  // [C] of [k*k, P]
 };
 
 }  // namespace nnr::nn

@@ -47,21 +47,32 @@ struct BOperand {
   std::int64_t k_stride;
 };
 
-// Packs output columns [j0, j0 + nr) of B into panel layout
-// dst[kk * kNr + jj] so the micro-kernel's inner loop loads one contiguous
-// vector per k step. Columns nr..kNr-1 are zero-filled: a partial last panel
-// then runs through the same micro-kernel, and its padded columns are never
-// stored. Either B layout packs to the same panel, which is why gemm_nn needs
-// no transposed copy of B. Pure data movement — no floating-point arithmetic.
-void pack_b_panel(const BOperand& b, std::int64_t k, std::int64_t j0,
-                  std::int64_t nr, float* dst) noexcept {
-  const float* b0 = b.data + j0 * b.col_stride;
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* src = b0 + kk * b.k_stride;
-    float* row = dst + kk * kNr;
-    std::int64_t jj = 0;
-    for (; jj < nr; ++jj) row[jj] = src[jj * b.col_stride];
-    for (; jj < kNr; ++jj) row[jj] = 0.0F;
+// Packs output columns [j0, j0 + cols) of B into panels, panel p laid out
+// dst[(p * k + kk) * kNr + jj] so the micro-kernel's inner loop loads one
+// contiguous vector per k step. Columns past `cols` are zero-filled: a partial
+// last panel then runs through the same micro-kernel, and its padded columns
+// are never stored. Either B layout packs to the same panels, which is why
+// gemm_nn needs no transposed copy of B; from [k, n] the full panels fill in
+// storage order, one row run per k. Pure data movement — no arithmetic.
+void pack_b(const BOperand& b, std::int64_t k, std::int64_t j0,
+            std::int64_t cols, float* dst) noexcept {
+  const std::int64_t full = b.col_stride == 1 ? cols / kNr : 0;
+  for (std::int64_t kk = 0; full > 0 && kk < k; ++kk) {
+    const float* src = b.data + kk * b.k_stride + j0;
+    for (std::int64_t p = 0; p < full; ++p) {
+      std::memcpy(dst + (p * k + kk) * kNr, src + p * kNr, sizeof(float[kNr]));
+    }
+  }
+  for (std::int64_t p = full; p * kNr < cols; ++p) {
+    const float* b0 = b.data + (j0 + p * kNr) * b.col_stride;
+    const std::int64_t nr = std::min(kNr, cols - p * kNr);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float* src = b0 + kk * b.k_stride;
+      float* row = dst + (p * k + kk) * kNr;
+      std::int64_t jj = 0;
+      for (; jj < nr; ++jj) row[jj] = src[jj * b.col_stride];
+      for (; jj < kNr; ++jj) row[jj] = 0.0F;
+    }
   }
 }
 
@@ -219,10 +230,8 @@ void gemm_blocked(const float* pa, const BOperand& b, float* pc,
       const std::int64_t jb_begin = g * group;
       const std::int64_t jb_end = std::min(panels, jb_begin + group);
       if (g != packed_group) {
-        for (std::int64_t jb = jb_begin; jb < jb_end; ++jb) {
-          pack_b_panel(b, k, jb * kNr, std::min(kNr, n - jb * kNr),
-                       packed + (jb - jb_begin) * panel_elems);
-        }
+        pack_b(b, k, jb_begin * kNr, std::min(n, jb_end * kNr) - jb_begin * kNr,
+               packed);
         packed_group = g;
       }
       const std::int64_t chunk = t % chunks;

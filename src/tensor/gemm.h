@@ -11,7 +11,9 @@
 // i.e. both operands are row-major with the contraction axis K contiguous.
 // gemm_nn takes B as [K, N] instead; the engine packs B into panels either
 // way, so callers hand over whichever layout they hold rather than building
-// a transposed copy.
+// a transposed copy. The convolutions' [C*K*K, N*OH*OW] patch matrix
+// (tensor/im2col.h) is such a [K, N] operand: a full panel of it packs as one
+// contiguous row copy per k.
 #pragma once
 
 #include <cstdint>

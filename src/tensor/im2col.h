@@ -1,11 +1,22 @@
 // im2col / col2im lowering for convolution-as-GEMM.
 //
-// Forward convolution is lowered to gemm_nt over patch matrices — the same
-// "implicit GEMM" strategy cuDNN uses — so the accumulation-ordering policy
-// applies to convolutions exactly as it does to dense layers.
+// Forward convolution is lowered to one GEMM over a patch matrix — the same
+// "implicit GEMM" strategy cuDNN uses (Chellapilla et al. 2006) — so the
+// accumulation-ordering policy applies to convolutions exactly as it does to
+// dense layers.
 //
-// Layout: input NCHW; the patch matrix is [N*OH*OW, C*KH*KW] with the
-// contraction axis contiguous per output pixel.
+// Layout: input NCHW; the patch matrix is [C*KH*KW, N*OH*OW]. Row
+// (c, ky, kx) is one tap and runs contiguously along the output pixels
+// (n, oy, ox), so im2col writes each (tap, n, oy) run with one copy and
+// col2im reads it back with one contiguous row add.
+//
+// col2im's per-element order is part of the bit-exactness contract: every
+// input element receives its addends in the order of the reference scatter
+// loop (n, oy, ox, ky, kx). Take a destination (iy, ix). That loop reaches it
+// with oy ascending, so ky = iy + pad - oy*stride descends; within one oy, ox
+// ascends, so kx descends; and each (ky, kx) reaches it at most once.
+// Looping (ky desc, kx desc) outermost therefore delivers the same addends
+// in the same order, for any stride and pad.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +49,10 @@ struct ConvGeometry {
 };
 
 /// Expands `input` (shape {N, C, H, W}) into `cols`
-/// (shape {N*OH*OW, C*K*K}). Out-of-bounds taps read as zero.
+/// (shape {C*K*K, N*OH*OW}). Out-of-bounds taps read as zero.
 void im2col(const Tensor& input, const ConvGeometry& geom, Tensor& cols);
 
-/// Scatter-adds `cols` (shape {N*OH*OW, C*K*K}) back into `grad_input`
+/// Scatter-adds `cols` (shape {C*K*K, N*OH*OW}) back into `grad_input`
 /// (shape {N, C, H, W}); the inverse of im2col for gradient routing.
 /// grad_input is zeroed first.
 void col2im(const Tensor& cols, const ConvGeometry& geom, Tensor& grad_input);

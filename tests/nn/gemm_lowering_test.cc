@@ -1,10 +1,12 @@
-// The backward passes of Conv2D, Dense and DepthwiseConv2D read their
-// patch matrices, inputs and weights in place through gemm_nn. These tests
-// pin that lowering to the one it replaced: every transposed operand built
-// explicitly with transpose() and contracted by gemm_nt_reference. Gradients
-// must agree bit for bit, under a deterministic (CONTROL) context and under
-// a shuffled-order (IMPL) context whose entropy stream is replayed launch by
-// launch.
+// Conv2D and DepthwiseConv2D lower onto a [C*K*K, N*OH*OW] patch matrix,
+// and the backward passes of all three GEMM layers read their operands in
+// place through gemm_nn / gemm_nt. These tests pin every layer to the seed
+// lowering: the [N*OH*OW, C*K*K] patch matrix of the in-test naive
+// im2col/col2im (test_util.h), every transposed operand built explicitly
+// with transpose(), and every contraction run by gemm_nt_reference. Outputs
+// and gradients must agree bit for bit, under a deterministic (CONTROL)
+// context and under a shuffled-order (IMPL) context whose entropy stream is
+// replayed launch by launch.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,7 +15,6 @@
 #include "nn/dense.h"
 #include "nn/depthwise_conv.h"
 #include "tensor/gemm.h"
-#include "tensor/im2col.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -53,36 +54,40 @@ Tensor accumulated(const Tensor& g) {
 
 class GemmLowering : public ::testing::TestWithParam<bool> {};
 
-TEST_P(GemmLowering, Conv2DGradientsMatchTransposeLowering) {
+void expect_conv_matches_seed_lowering(bool impl, std::int64_t stride) {
   const std::int64_t batch = 4, cin = 3, cout = 10, h = 9, w = 7, k = 3;
-  Conv2D conv(cin, cout, k, /*stride=*/1);
+  const ConvGeometry g{.batch = batch, .in_channels = cin, .in_h = h,
+                       .in_w = w, .kernel = k, .stride = stride, .pad = k / 2};
+  Conv2D conv(cin, cout, k, stride);
   rng::Generator init(3);
   conv.init_weights(init);
   Tensor x(Shape{batch, cin, h, w});
   fill_random(x, 5);
-  Tensor dy(Shape{batch, cout, h, w});
+  Tensor dy(Shape{batch, cout, g.out_h(), g.out_w()});
   fill_random(dy, 7);
 
-  auto hw = make_context(GetParam());
+  auto hw = make_context(impl);
   RunContext ctx{.hw = &hw, .training = true};
-  (void)conv.forward(x, ctx);
+  const Tensor y = conv.forward(x, ctx);
   const Tensor dx = conv.backward(dy, ctx);
 
-  // The transpose lowering, replaying the layer's launch sequence.
-  auto hw_ref = make_context(GetParam());
-  const ConvGeometry g{.batch = batch, .in_channels = cin, .in_h = h,
-                       .in_w = w, .kernel = k, .stride = 1, .pad = k / 2};
+  // The seed lowering, replaying the layer's launch sequence.
+  auto hw_ref = make_context(impl);
   const std::int64_t pixels = g.out_pixels();
   const std::int64_t ohw = g.out_h() * g.out_w();
   const Tensor& weight = conv.params()[0]->value;
+  const Tensor& bias = conv.params()[1]->value;
   Tensor cols(Shape{pixels, g.patch_size()});
-  tensor::im2col(x, g, cols);
+  testutil::im2col_naive(x, g, cols);
   Tensor out_pc(Shape{pixels, cout});
   tensor::gemm_nt_reference(cols, weight, out_pc, hw_ref.matmul_policy());
+  Tensor y_ref(y.shape());
   Tensor dy_pc(Shape{pixels, cout});
   for (std::int64_t n = 0; n < batch; ++n) {
     for (std::int64_t c = 0; c < cout; ++c) {
       for (std::int64_t p = 0; p < ohw; ++p) {
+        y_ref.raw()[(n * cout + c) * ohw + p] =
+            out_pc.at(n * ohw + p, c) + bias.at(c);
         dy_pc.at(n * ohw + p, c) = dy.raw()[(n * cout + c) * ohw + p];
       }
     }
@@ -97,12 +102,20 @@ TEST_P(GemmLowering, Conv2DGradientsMatchTransposeLowering) {
   tensor::gemm_nt_reference(dy_pc, transposed(weight), dcols,
                             hw_ref.matmul_policy());
   Tensor dx_ref(x.shape());
-  tensor::col2im(dcols, g, dx_ref);
+  testutil::col2im_naive(dcols, g, dx_ref);
 
+  expect_bitwise_equal(y, y_ref, "conv forward");
   expect_bitwise_equal(conv.params()[0]->grad, accumulated(dw), "conv dW");
   expect_bitwise_equal(conv.params()[1]->grad,
                        accumulated(Tensor(Shape{cout}, db)), "conv db");
   expect_bitwise_equal(dx, dx_ref, "conv dX");
+}
+
+TEST_P(GemmLowering, Conv2DGradientsMatchTransposeLowering) {
+  for (const std::int64_t stride : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "stride=" << stride);
+    expect_conv_matches_seed_lowering(GetParam(), stride);
+  }
 }
 
 TEST_P(GemmLowering, DenseGradientsMatchTransposeLowering) {
@@ -151,7 +164,7 @@ TEST_P(GemmLowering, DepthwiseGradientsMatchTransposeLowering) {
 
   auto hw = make_context(GetParam());
   RunContext ctx{.hw = &hw, .training = true};
-  (void)conv.forward(x, ctx);
+  const Tensor y = conv.forward(x, ctx);
   const Tensor dx = conv.backward(dy, ctx);
 
   auto hw_ref = make_context(GetParam());
@@ -161,6 +174,8 @@ TEST_P(GemmLowering, DepthwiseGradientsMatchTransposeLowering) {
   const std::int64_t taps = k * k;
   const std::int64_t hw_size = h * w;
   const Tensor& weight = conv.params()[0]->value;
+  const Tensor& bias = conv.params()[1]->value;
+  Tensor y_ref(y.shape());
   std::vector<Tensor> cols(static_cast<std::size_t>(channels),
                            Tensor(Shape{pixels, taps}));
   for (std::int64_t c = 0; c < channels; ++c) {
@@ -171,12 +186,18 @@ TEST_P(GemmLowering, DepthwiseGradientsMatchTransposeLowering) {
             x.raw()[(n * channels + c) * hw_size + p];
       }
     }
-    tensor::im2col(channel, g, cols[static_cast<std::size_t>(c)]);
+    testutil::im2col_naive(channel, g, cols[static_cast<std::size_t>(c)]);
     Tensor w_row(Shape{1, taps});
     for (std::int64_t t = 0; t < taps; ++t) w_row.at(t) = weight.at(c, t);
     Tensor out_p(Shape{pixels, 1});
     tensor::gemm_nt_reference(cols[static_cast<std::size_t>(c)], w_row, out_p,
                               hw_ref.matmul_policy());
+    for (std::int64_t n = 0; n < batch; ++n) {
+      for (std::int64_t p = 0; p < hw_size; ++p) {
+        y_ref.raw()[(n * channels + c) * hw_size + p] =
+            out_p.at(n * hw_size + p, 0) + bias.at(c);
+      }
+    }
   }
   Tensor dw(weight.shape());
   Tensor db(Shape{channels});
@@ -201,7 +222,7 @@ TEST_P(GemmLowering, DepthwiseGradientsMatchTransposeLowering) {
     tensor::gemm_nt_reference(transposed(dy_1p), w_t1, dcols,
                               hw_ref.matmul_policy());
     Tensor dchannel(Shape{batch, 1, h, w});
-    tensor::col2im(dcols, g, dchannel);
+    testutil::col2im_naive(dcols, g, dchannel);
     for (std::int64_t n = 0; n < batch; ++n) {
       for (std::int64_t p = 0; p < hw_size; ++p) {
         dx_ref.raw()[(n * channels + c) * hw_size + p] =
@@ -210,6 +231,7 @@ TEST_P(GemmLowering, DepthwiseGradientsMatchTransposeLowering) {
     }
   }
 
+  expect_bitwise_equal(y, y_ref, "depthwise forward");
   expect_bitwise_equal(conv.params()[0]->grad, dw, "depthwise dW");
   expect_bitwise_equal(conv.params()[1]->grad, db, "depthwise db");
   expect_bitwise_equal(dx, dx_ref, "depthwise dX");

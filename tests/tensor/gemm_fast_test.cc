@@ -17,6 +17,7 @@
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/workspace.h"
+#include "test_util.h"
 
 namespace nnr::tensor {
 namespace {
@@ -42,11 +43,13 @@ struct GemmCase {
 
 // Awkward shapes on purpose: k = 0 (below and above the tile-sized cutoff),
 // k below the 4-wide unroll, k with a remainder, m/n off the 4x8 tile grid,
-// row and column vectors, and one comfortably blocked shape.
+// row and column vectors, one comfortably blocked shape, and one whose B
+// packs in two panel groups, the second ending in a partial panel.
 const GemmCase kCases[] = {
     {1, 1, 0},     {8, 8, 0},    {3, 5, 1},    {4, 8, 3},
     {5, 7, 5},     {16, 24, 32}, {13, 17, 129}, {33, 9, 257},
     {64, 64, 64},  {31, 130, 200}, {1, 40, 300}, {300, 1, 9},
+    {13, 300, 130},
 };
 
 TEST(GemmFastPath, BitwiseEqualToReferenceAllOrders) {
@@ -164,55 +167,44 @@ TEST(TransposeTiled, MatchesNaiveOnOddShapes) {
   }
 }
 
-// Seed im2col semantics, restated element-by-element.
-void im2col_naive(const Tensor& input, const ConvGeometry& g, Tensor& cols) {
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  std::int64_t row = 0;
-  float* dst = cols.raw();
-  for (std::int64_t n = 0; n < g.batch; ++n) {
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox, ++row) {
-        for (std::int64_t c = 0; c < g.in_channels; ++c) {
-          for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
-            const std::int64_t iy = oy * g.stride + ky - g.pad;
-            for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++dst) {
-              const std::int64_t ix = ox * g.stride + kx - g.pad;
-              const bool inside =
-                  iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
-              *dst = inside ? input.at(n, c, iy, ix) : 0.0F;
-            }
-          }
-        }
-      }
+// `kp` is the [K, P] layout of the [P, K] matrix `pk`, element for element.
+void expect_transposed_bitwise(const Tensor& kp, const Tensor& pk,
+                               const char* what) {
+  ASSERT_EQ(kp.shape(), (Shape{pk.shape()[1], pk.shape()[0]})) << what;
+  for (std::int64_t p = 0; p < pk.shape()[0]; ++p) {
+    for (std::int64_t k = 0; k < pk.shape()[1]; ++k) {
+      ASSERT_EQ(kp.at(k, p), pk.at(p, k))
+          << what << " diverged at tap " << k << ", pixel " << p;
     }
   }
 }
 
-// Seed col2im semantics: scatter-add in (n, oy, ox, c, ky, kx) order.
-void col2im_naive(const Tensor& cols, const ConvGeometry& g, Tensor& grad) {
-  grad.fill(0.0F);
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const float* src = cols.raw();
-  std::int64_t row = 0;
-  for (std::int64_t n = 0; n < g.batch; ++n) {
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox, ++row) {
-        for (std::int64_t c = 0; c < g.in_channels; ++c) {
-          for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
-            const std::int64_t iy = oy * g.stride + ky - g.pad;
-            for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++src) {
-              const std::int64_t ix = ox * g.stride + kx - g.pad;
-              if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
-                grad.at(n, c, iy, ix) += *src;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+Tensor transposed(const Tensor& t) {
+  Tensor out(Shape{t.shape()[1], t.shape()[0]});
+  transpose(t, out);
+  return out;
+}
+
+// The library lowering against the seed [P, K] oracle: im2col must equal the
+// oracle's patch matrix transposed, and col2im of a [K, P] matrix must equal
+// the oracle's scatter of its transpose, bit for bit. Random normal addends
+// make the per-element sums order-sensitive.
+void expect_lowering_matches_seed(const ConvGeometry& g, std::uint64_t seed) {
+  const Tensor input =
+      random_tensor(Shape{g.batch, g.in_channels, g.in_h, g.in_w}, seed);
+  Tensor cols(Shape{g.patch_size(), g.out_pixels()});
+  Tensor cols_naive(Shape{g.out_pixels(), g.patch_size()});
+  im2col(input, g, cols);
+  testutil::im2col_naive(input, g, cols_naive);
+  expect_transposed_bitwise(cols, cols_naive, "im2col");
+
+  const Tensor dcols =
+      random_tensor(Shape{g.patch_size(), g.out_pixels()}, seed + 1);
+  Tensor grad(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+  Tensor grad_naive(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+  col2im(dcols, g, grad);
+  testutil::col2im_naive(transposed(dcols), g, grad_naive);
+  expect_bitwise_equal(grad, grad_naive, "col2im");
 }
 
 TEST(Im2colFastPath, BitwiseEqualToNaiveAcrossGeometries) {
@@ -230,23 +222,42 @@ TEST(Im2colFastPath, BitwiseEqualToNaiveAcrossGeometries) {
                              .stride = stride,
                              .pad = pad};
         if (g.out_h() <= 0 || g.out_w() <= 0) continue;
-        const Tensor input =
-            random_tensor(Shape{g.batch, g.in_channels, g.in_h, g.in_w},
-                          61 + static_cast<std::uint64_t>(kernel * 10 + pad));
-        Tensor cols(Shape{g.out_pixels(), g.patch_size()});
-        Tensor cols_naive(Shape{g.out_pixels(), g.patch_size()});
-        im2col(input, g, cols);
-        im2col_naive(input, g, cols_naive);
-        expect_bitwise_equal(cols, cols_naive, "im2col");
-
-        Tensor grad(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
-        Tensor grad_naive(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
-        col2im(cols, g, grad);
-        col2im_naive(cols, g, grad_naive);
-        expect_bitwise_equal(grad, grad_naive, "col2im");
+        SCOPED_TRACE(testing::Message() << "k=" << kernel << " s=" << stride
+                                        << " p=" << pad);
+        expect_lowering_matches_seed(
+            g, 61 + static_cast<std::uint64_t>(kernel * 10 + pad));
       }
     }
   }
+}
+
+// col2im's (ky desc, kx desc) row adds reproduce the seed scatter's
+// per-element order only by the argument in im2col.h. These geometries make
+// windows overlap — with stride > 1, with wide kernels and padding, on
+// non-square inputs, over several samples — where any other tap order
+// changes some sum's bits. Checked at 1 and 4 host threads.
+TEST(Im2colFastPath, Col2imKeepsSeedOrderOnOverlappingWindows) {
+  const ConvGeometry geometries[] = {
+      {.batch = 3, .in_channels = 2, .in_h = 13, .in_w = 10, .kernel = 3,
+       .stride = 2, .pad = 1},
+      {.batch = 2, .in_channels = 3, .in_h = 12, .in_w = 15, .kernel = 5,
+       .stride = 2, .pad = 2},
+      {.batch = 2, .in_channels = 2, .in_h = 9, .in_w = 14, .kernel = 7,
+       .stride = 1, .pad = 3},
+      {.batch = 3, .in_channels = 2, .in_h = 7, .in_w = 11, .kernel = 3,
+       .stride = 1, .pad = 1},
+  };
+  for (const int threads : {1, 4}) {
+    runtime::ThreadPool::set_global_threads(threads);
+    for (const ConvGeometry& g : geometries) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " k=" << g.kernel
+                   << " s=" << g.stride << " p=" << g.pad << " " << g.in_h
+                   << "x" << g.in_w);
+      expect_lowering_matches_seed(g, 83 + static_cast<std::uint64_t>(g.kernel));
+    }
+  }
+  runtime::ThreadPool::set_global_threads(0);
 }
 
 TEST(Im2colFastPath, InvariantToHostThreadCount) {
@@ -260,12 +271,12 @@ TEST(Im2colFastPath, InvariantToHostThreadCount) {
   const Tensor input =
       random_tensor(Shape{g.batch, g.in_channels, g.in_h, g.in_w}, 71);
   runtime::ThreadPool::set_global_threads(1);
-  Tensor cols1(Shape{g.out_pixels(), g.patch_size()});
+  Tensor cols1(Shape{g.patch_size(), g.out_pixels()});
   im2col(input, g, cols1);
   Tensor grad1(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
   col2im(cols1, g, grad1);
   runtime::ThreadPool::set_global_threads(4);
-  Tensor cols4(Shape{g.out_pixels(), g.patch_size()});
+  Tensor cols4(Shape{g.patch_size(), g.out_pixels()});
   im2col(input, g, cols4);
   Tensor grad4(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
   col2im(cols4, g, grad4);

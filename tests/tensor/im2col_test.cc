@@ -40,13 +40,13 @@ TEST(Im2col, Identity1x1) {
                        .stride = 1,
                        .pad = 0};
   Tensor x(Shape{1, 2, 2, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
-  Tensor cols(Shape{4, 2});
+  Tensor cols(Shape{2, 4});
   im2col(x, g, cols);
   // Pixel (0,0): channels (1, 5); pixel (1,1): channels (4, 8).
   EXPECT_FLOAT_EQ(cols.at(0, 0), 1.0F);
-  EXPECT_FLOAT_EQ(cols.at(0, 1), 5.0F);
-  EXPECT_FLOAT_EQ(cols.at(3, 0), 4.0F);
-  EXPECT_FLOAT_EQ(cols.at(3, 1), 8.0F);
+  EXPECT_FLOAT_EQ(cols.at(1, 0), 5.0F);
+  EXPECT_FLOAT_EQ(cols.at(0, 3), 4.0F);
+  EXPECT_FLOAT_EQ(cols.at(1, 3), 8.0F);
 }
 
 TEST(Im2col, PaddingReadsZero) {
@@ -58,13 +58,13 @@ TEST(Im2col, PaddingReadsZero) {
                        .stride = 1,
                        .pad = 1};
   Tensor x(Shape{1, 1, 2, 2}, {1, 2, 3, 4});
-  Tensor cols(Shape{4, 9});
+  Tensor cols(Shape{9, 4});
   im2col(x, g, cols);
   // Top-left output pixel: the 3x3 patch centered at (0,0); corners outside.
   EXPECT_FLOAT_EQ(cols.at(0, 0), 0.0F);  // (-1,-1)
-  EXPECT_FLOAT_EQ(cols.at(0, 4), 1.0F);  // center (0,0)
-  EXPECT_FLOAT_EQ(cols.at(0, 5), 2.0F);  // (0,1)
-  EXPECT_FLOAT_EQ(cols.at(0, 8), 4.0F);  // (1,1)
+  EXPECT_FLOAT_EQ(cols.at(4, 0), 1.0F);  // center (0,0)
+  EXPECT_FLOAT_EQ(cols.at(5, 0), 2.0F);  // (0,1)
+  EXPECT_FLOAT_EQ(cols.at(8, 0), 4.0F);  // (1,1)
 }
 
 TEST(Im2col, StrideSkipsPixels) {
@@ -77,12 +77,12 @@ TEST(Im2col, StrideSkipsPixels) {
                        .pad = 0};
   Tensor x(Shape{1, 1, 4, 4});
   for (std::int64_t i = 0; i < 16; ++i) x.at(i) = static_cast<float>(i);
-  Tensor cols(Shape{4, 1});
+  Tensor cols(Shape{1, 4});
   im2col(x, g, cols);
   EXPECT_FLOAT_EQ(cols.at(0, 0), 0.0F);
-  EXPECT_FLOAT_EQ(cols.at(1, 0), 2.0F);
-  EXPECT_FLOAT_EQ(cols.at(2, 0), 8.0F);
-  EXPECT_FLOAT_EQ(cols.at(3, 0), 10.0F);
+  EXPECT_FLOAT_EQ(cols.at(0, 1), 2.0F);
+  EXPECT_FLOAT_EQ(cols.at(0, 2), 8.0F);
+  EXPECT_FLOAT_EQ(cols.at(0, 3), 10.0F);
 }
 
 TEST(Col2im, InverseOfIm2colForDisjointPatches) {
@@ -114,7 +114,7 @@ TEST(Col2im, OverlappingPatchesAccumulate) {
                        .kernel = 3,
                        .stride = 1,
                        .pad = 1};
-  Tensor cols = Tensor::full(Shape{25, 9}, 1.0F);
+  Tensor cols = Tensor::full(Shape{9, 25}, 1.0F);
   Tensor grad(Shape{1, 1, 5, 5});
   col2im(cols, g, grad);
   EXPECT_FLOAT_EQ(grad.at(0, 0, 2, 2), 9.0F);  // interior
@@ -131,9 +131,9 @@ TEST(Im2col, MultiBatchLayout) {
                        .stride = 1,
                        .pad = 0};
   Tensor x(Shape{2, 1, 2, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
-  Tensor cols(Shape{8, 1});
+  Tensor cols(Shape{1, 8});
   im2col(x, g, cols);
-  EXPECT_FLOAT_EQ(cols.at(4, 0), 5.0F);  // first pixel of example 1
+  EXPECT_FLOAT_EQ(cols.at(0, 4), 5.0F);  // first pixel of example 1
 }
 
 }  // namespace
