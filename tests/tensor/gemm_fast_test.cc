@@ -167,18 +167,6 @@ TEST(TransposeTiled, MatchesNaiveOnOddShapes) {
   }
 }
 
-// `kp` is the [K, P] layout of the [P, K] matrix `pk`, element for element.
-void expect_transposed_bitwise(const Tensor& kp, const Tensor& pk,
-                               const char* what) {
-  ASSERT_EQ(kp.shape(), (Shape{pk.shape()[1], pk.shape()[0]})) << what;
-  for (std::int64_t p = 0; p < pk.shape()[0]; ++p) {
-    for (std::int64_t k = 0; k < pk.shape()[1]; ++k) {
-      ASSERT_EQ(kp.at(k, p), pk.at(p, k))
-          << what << " diverged at tap " << k << ", pixel " << p;
-    }
-  }
-}
-
 Tensor transposed(const Tensor& t) {
   Tensor out(Shape{t.shape()[1], t.shape()[0]});
   transpose(t, out);
@@ -196,7 +184,7 @@ void expect_lowering_matches_seed(const ConvGeometry& g, std::uint64_t seed) {
   Tensor cols_naive(Shape{g.out_pixels(), g.patch_size()});
   im2col(input, g, cols);
   testutil::im2col_naive(input, g, cols_naive);
-  expect_transposed_bitwise(cols, cols_naive, "im2col");
+  expect_bitwise_equal(cols, transposed(cols_naive), "im2col");
 
   const Tensor dcols =
       random_tensor(Shape{g.patch_size(), g.out_pixels()}, seed + 1);
