@@ -5,9 +5,14 @@
 // Emits BENCH_tensor.json (path = argv[1], default ./BENCH_tensor.json) so
 // the repo's perf trajectory is recorded and regressions are visible in CI.
 //
+// Each row is the median of kRounds rounds, a round being the mean over
+// `reps` calls, so a burst of host load that slows one or two rounds does
+// not move the row.
 // NNR_QUICK shrinks shapes and repetitions to smoke-test scale.
 // NNR_THREADS sizes the host pool; the thread-scaling rows resize it
 // explicitly per measurement.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -40,15 +45,23 @@ struct Row {
   double speedup_vs_ref = 0.0;  // 0 when there is no reference pairing
 };
 
+constexpr int kRounds = 5;
+
+/// Median over kRounds rounds of the mean ns per call across `reps` calls.
 template <typename Fn>
 double ns_per_step(Fn&& fn, int reps) {
   fn();  // warmup (and first-touch of any scratch)
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-  return static_cast<double>(ns) / reps;
+  std::array<double, kRounds> rounds{};
+  for (double& mean_ns : rounds) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < reps; ++r) fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+    mean_ns = static_cast<double>(ns) / reps;
+  }
+  std::sort(rounds.begin(), rounds.end());
+  return rounds[kRounds / 2];
 }
 
 Tensor random_tensor(Shape shape, std::uint64_t seed) {
@@ -77,6 +90,7 @@ void emit_json(const std::string& path, const std::vector<Row>& rows,
   std::fprintf(f, "{\n  \"bench\": \"tensor\",\n");
   std::fprintf(f, "  \"generated_by\": \"bench_micro_gemm\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
+  std::fprintf(f, "  \"rounds\": %d,\n", kRounds);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

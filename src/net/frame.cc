@@ -77,10 +77,4 @@ RecvFrameResult recv_frame_ex(Socket& sock) {
   return result;
 }
 
-std::optional<Frame> recv_frame(Socket& sock) {
-  RecvFrameResult result = recv_frame_ex(sock);
-  if (result.status != RecvStatus::kFrame) return std::nullopt;
-  return std::move(result.frame);
-}
-
 }  // namespace nnr::net

@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <random>
+#include <sstream>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -20,6 +20,7 @@
 #include "net/cache_protocol.h"
 #include "net/fault_injector.h"
 #include "net/frame.h"
+#include "serialize/binary_io.h"
 #include "serialize/run_result.h"
 
 namespace nnr::sched {
@@ -108,12 +109,12 @@ bool CacheServer::start() {
 
 void CacheServer::load_or_create_shard_identity() {
   instance_id_ = random_identity();
-  const std::filesystem::path path =
-      std::filesystem::path(config_.dir) / "shard_id.nnr";
+  const std::string path =
+      (std::filesystem::path(config_.dir) / "shard_id.nnr").string();
   std::uint64_t uid = 0;
   std::uint64_t epoch = 0;
   {
-    std::ifstream in(path);
+    std::istringstream in(serialize::read_file(path).value_or(""));
     std::string tag;
     if (in >> tag >> uid && tag == "uid" && in >> tag >> epoch &&
         tag == "epoch" && uid != 0) {
@@ -128,8 +129,11 @@ void CacheServer::load_or_create_shard_identity() {
   }
   dir_uid_ = uid;
   boot_epoch_ = epoch + 1;
-  std::ofstream out(path, std::ios::trunc);
-  out << "uid " << dir_uid_ << "\nepoch " << boot_epoch_ << "\n";
+  // Replaced, never rewritten in place: a crash mid-write leaves the old
+  // identity readable instead of a torn file that would mint a new uid.
+  (void)serialize::replace_file(path, "uid " + std::to_string(dir_uid_) +
+                                          "\nepoch " +
+                                          std::to_string(boot_epoch_) + "\n");
 }
 
 void CacheServer::stop() noexcept {
@@ -408,7 +412,7 @@ void CacheServer::drain_and_shutdown() {
   // 3. Belt-and-braces snapshot: the queue persists on every durable
   //    transition anyway, but shutting down is the one moment it is worth
   //    an unconditional fsync-cheap rewrite.
-  queue_.save();
+  queue_.persist();
   const std::size_t drained = conns_.size();
   conns_.clear();
   std::fprintf(stderr,

@@ -1,10 +1,7 @@
 #include "sched/fleet_queue.h"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <system_error>
+#include <optional>
 #include <utility>
 
 #include "serialize/binary_io.h"
@@ -13,8 +10,6 @@
 namespace nnr::sched {
 
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Snapshot format: magic | u32 format | u64 count | count x item | trailer.
 /// Items persist as (key, study, cell, replicate, state, outcome, attempts);
@@ -29,30 +24,30 @@ FleetQueue::FleetQueue(std::string snapshot_path)
 
 void FleetQueue::load() {
   if (snapshot_path_.empty()) return;
-  std::string bytes;
-  {
-    std::ifstream in(snapshot_path_, std::ios::binary);
-    if (!in) return;  // no snapshot: fresh queue
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::optional<std::string> bytes =
+      serialize::read_file(snapshot_path_);
+  if (!bytes.has_value()) return;  // no snapshot: fresh queue
   std::unordered_map<CellKey, Item, CellKeyHash> items;
   std::vector<CellKey> pending;
   try {
-    serialize::detail::BufReader r(bytes, kSnapshotMagic, snapshot_path_);
+    serialize::detail::BufReader r(*bytes, kSnapshotMagic, snapshot_path_);
     if (r.get<std::uint32_t>() != kSnapshotFormat) return;
     const auto count = r.get<std::uint64_t>();
     for (std::uint64_t i = 0; i < count; ++i) {
       Item item;
       item.work.key.hi = r.get<std::uint64_t>();
       item.work.key.lo = r.get<std::uint64_t>();
-      const auto study_len = r.get<std::uint32_t>();
-      item.work.study.resize(study_len);
-      if (study_len > 0) r.get_bytes(item.work.study.data(), study_len);
+      item.work.study = r.get_string(r.get<std::uint32_t>());
       item.work.cell = r.get<std::uint32_t>();
       item.work.replicate = r.get<std::uint32_t>();
-      item.state = static_cast<ItemState>(r.get<std::uint8_t>());
-      item.outcome = static_cast<Outcome>(r.get<std::uint8_t>());
+      const auto state = r.get<std::uint8_t>();
+      const auto outcome = r.get<std::uint8_t>();
+      if (state > static_cast<std::uint8_t>(ItemState::kDone) ||
+          outcome > static_cast<std::uint8_t>(Outcome::kFailed)) {
+        throw serialize::CheckpointError("bad item state: " + snapshot_path_);
+      }
+      item.state = static_cast<ItemState>(state);
+      item.outcome = static_cast<Outcome>(outcome);
       item.attempts = r.get<std::uint32_t>();
       // The previous daemon's leases died with it: a leased item reverts
       // to pending, the restart analogue of lease expiry.
@@ -106,22 +101,7 @@ void FleetQueue::persist() const {
     if (written.count(key) != 0) continue;
     put_item(item);
   }
-  const std::string payload = w.finish();
-  const std::string tmp = snapshot_path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;  // persistence is best-effort
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, snapshot_path_, ec);
-  if (ec) fs::remove(tmp, ec);
+  (void)serialize::replace_file(snapshot_path_, w.finish());  // best-effort
 }
 
 void FleetQueue::push_pending(const CellKey& key) {

@@ -21,7 +21,7 @@
 //
 // Durability: every state change that must survive a daemon restart
 // (submit, done, requeue-with-attempts) rewrites a snapshot file inside
-// the cache directory (temp + rename, magic + FNV-1a trailer via
+// the cache directory (serialize::replace_file, magic + FNV-1a trailer via
 // serialize/binary_io.h). Leases are volatile by design — on load every
 // leased item reverts to pending, the restart analogue of lease expiry —
 // so FETCH transitions never touch disk.
@@ -114,10 +114,11 @@ class FleetQueue {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Rewrites the snapshot unconditionally (graceful daemon shutdown).
-  /// Every durable transition already persists, so this is belt-and-braces
-  /// against a snapshot lost to a full disk earlier in the run.
-  void save() const { persist(); }
+  /// Rewrites the snapshot through serialize::replace_file. Every durable
+  /// transition calls it; the daemon calls it once more on graceful
+  /// shutdown, belt-and-braces against a snapshot lost to a full disk
+  /// earlier in the run. Best-effort: a failed write keeps the old file.
+  void persist() const;
 
   /// pending + leased — the FETCH kMiss "outstanding" field.
   [[nodiscard]] std::uint64_t outstanding() const;
@@ -134,7 +135,6 @@ class FleetQueue {
     std::uint32_t attempts = 0;
   };
 
-  void persist() const;
   void push_pending(const CellKey& key);
 
   std::string snapshot_path_;

@@ -1,20 +1,14 @@
 #include "sched/fs_cache_backend.h"
 
-#include <signal.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/env.h"
-#include "runtime/parse_int.h"
+#include "serialize/binary_io.h"
 #include "serialize/run_result.h"
 
 namespace nnr::sched {
@@ -116,29 +110,6 @@ void rank_lru(std::vector<EntryInfo>& entries,
   sort_lru(entries);
 }
 
-/// True when the pid embedded in a temp-file name still names a live
-/// process (alive or unkillable-but-present). Unparsable pids count as
-/// dead — the file can only be an orphan from a crashed writer.
-bool tmp_owner_alive(const std::string& name) {
-  const auto pos = name.rfind(".tmp");
-  if (pos == std::string::npos) return false;
-  std::string pid_text = name.substr(pos + 4);
-  const auto dot = pid_text.find('.');
-  if (dot != std::string::npos) pid_text = pid_text.substr(0, dot);
-  const auto pid = runtime::parse_int_strict(pid_text.c_str());
-  if (!pid.has_value() || *pid <= 0 || *pid > 0x7FFFFFFF) return false;
-  return ::kill(static_cast<pid_t>(*pid), 0) == 0 || errno == EPERM;
-}
-
-/// Unique temp name per (process, thread) writer — benches legitimately
-/// share one cache dir across processes — renamed into place so concurrent
-/// readers never observe a half-written entry.
-std::string temp_name(const std::string& path) {
-  return path + ".tmp" + std::to_string(::getpid()) + "." +
-         std::to_string(
-             std::hash<std::thread::id>{}(std::this_thread::get_id()));
-}
-
 }  // namespace
 
 FsCacheBackend::FsCacheBackend(std::string dir, std::int64_t budget_bytes)
@@ -178,62 +149,62 @@ void FsCacheBackend::ensure_dir_and_manifest() {
   // initializing one fresh dir don't interleave partial writes.
   auto lock = FileLock::try_acquire(gc_lock_path());
   if (!lock.has_value()) return;  // a peer is writing it right now
-  const std::string tmp = manifest + ".tmp" + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return;
-    out << "nnr-replicate-cache v1\n"
-        << "cell_key_version=" << kCellKeyVersion << "\n";
-    out.flush();
-    if (!out) {
-      fs::remove(tmp, ec);
-      return;
+  (void)serialize::replace_file(
+      manifest, "nnr-replicate-cache v1\ncell_key_version=" +
+                    std::to_string(kCellKeyVersion) + "\n");
+}
+
+void FsCacheBackend::count(const CacheStats& delta, CacheStats* run) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (CacheStats* s : {&stats_, run}) {
+    if (s == nullptr) continue;
+    s->hits += delta.hits;
+    s->misses += delta.misses;
+    s->corrupt += delta.corrupt;
+    s->stores += delta.stores;
+    s->bytes_read += delta.bytes_read;
+    s->bytes_written += delta.bytes_written;
+  }
+}
+
+std::optional<std::string> FsCacheBackend::read_entry(
+    const CellKey& key, CacheStats* run, bool count_miss,
+    core::RunResult* decoded) {
+  if (!enabled()) return std::nullopt;
+  const std::string path = path_for(key);
+  std::optional<std::string> bytes = serialize::read_file(path);
+  // An entry evicted by a peer before we opened it is a plain miss; only an
+  // entry that was read and does not decode is corrupt.
+  bool corrupt = false;
+  if (bytes.has_value() && decoded != nullptr) {
+    try {
+      *decoded = serialize::decode_run_result(*bytes, key.hi, key.lo, path);
+    } catch (const serialize::CheckpointError&) {
+      corrupt = true;
     }
   }
-  fs::rename(tmp, manifest, ec);
-  if (ec) fs::remove(tmp, ec);
+  if (!bytes.has_value() || corrupt) {
+    if (count_miss) count({.misses = 1, .corrupt = corrupt ? 1 : 0}, run);
+    return std::nullopt;
+  }
+  touch(key);
+  count({.hits = 1, .bytes_read = static_cast<std::int64_t>(bytes->size())},
+        run);
+  return bytes;
 }
 
 std::optional<core::RunResult> FsCacheBackend::load(const CellKey& key,
                                                     CacheStats* run,
                                                     bool count_miss) {
-  if (!enabled()) return std::nullopt;
-  const std::string path = path_for(key);
-  std::error_code ec;
-  const auto size = fs::file_size(path, ec);
-  if (ec) {
-    if (!count_miss) return std::nullopt;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    if (run != nullptr) ++run->misses;
+  core::RunResult result;
+  if (!read_entry(key, run, count_miss, &result).has_value()) {
     return std::nullopt;
   }
-  try {
-    core::RunResult result = serialize::load_run_result(path, key.hi, key.lo);
-    touch(key);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.hits;
-    stats_.bytes_read += static_cast<std::int64_t>(size);
-    if (run != nullptr) {
-      ++run->hits;
-      run->bytes_read += static_cast<std::int64_t>(size);
-    }
-    return result;
-  } catch (const serialize::CheckpointError&) {
-    if (!count_miss) return std::nullopt;
-    // An entry evicted by a peer between our stat and our open is a plain
-    // miss; only a file that is still present and unreadable is corrupt.
-    std::error_code gone_ec;
-    const bool vanished = !fs::exists(path, gone_ec);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    if (run != nullptr) ++run->misses;
-    if (!vanished) {
-      ++stats_.corrupt;
-      if (run != nullptr) ++run->corrupt;
-    }
-    return std::nullopt;
-  }
+  return result;
+}
+
+std::optional<std::string> FsCacheBackend::load_bytes(const CellKey& key) {
+  return read_entry(key, nullptr, true, nullptr);
 }
 
 bool FsCacheBackend::has_entry(const CellKey& key) const {
@@ -242,93 +213,24 @@ bool FsCacheBackend::has_entry(const CellKey& key) const {
   return fs::exists(path_for(key), ec) && !ec;
 }
 
-std::optional<std::string> FsCacheBackend::load_bytes(const CellKey& key) {
-  if (!enabled()) return std::nullopt;
-  std::ifstream in(path_for(key), std::ios::binary);
-  if (!in) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  touch(key);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.hits;
-  stats_.bytes_read += static_cast<std::int64_t>(bytes.size());
-  return bytes;
-}
-
 bool FsCacheBackend::store(const CellKey& key, const core::RunResult& result,
                            CacheStats* run) {
   if (!enabled()) return false;
-  const std::string path = path_for(key);
-  const std::string tmp = temp_name(path);
-  std::error_code ec;
-  ensure_dir_and_manifest();
-  std::uint64_t bytes = 0;
-  try {
-    bytes = serialize::save_run_result(tmp, result, key.hi, key.lo);
-  } catch (const serialize::CheckpointError&) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  touch(key);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.stores;
-    stats_.bytes_written += static_cast<std::int64_t>(bytes);
-    if (run != nullptr) {
-      ++run->stores;
-      run->bytes_written += static_cast<std::int64_t>(bytes);
-    }
-  }
-  if (budget_ > 0) {
-    if (approx_bytes_.load(std::memory_order_relaxed) >= 0) {
-      approx_bytes_.fetch_add(static_cast<std::int64_t>(bytes),
-                              std::memory_order_relaxed);
-    }
-    maybe_evict();
-  }
-  return true;
+  return store_bytes(
+      key, serialize::encode_run_result(result, key.hi, key.lo), run);
 }
 
-bool FsCacheBackend::store_bytes(const CellKey& key, std::string_view bytes) {
+bool FsCacheBackend::store_bytes(const CellKey& key, std::string_view bytes,
+                                 CacheStats* run) {
   if (!enabled()) return false;
-  const std::string path = path_for(key);
-  const std::string tmp = temp_name(path);
-  std::error_code ec;
   ensure_dir_and_manifest();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
+  if (!serialize::replace_file(path_for(key), bytes)) return false;
   touch(key);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.stores;
-    stats_.bytes_written += static_cast<std::int64_t>(bytes.size());
-  }
+  const auto size = static_cast<std::int64_t>(bytes.size());
+  count({.stores = 1, .bytes_written = size}, run);
   if (budget_ > 0) {
     if (approx_bytes_.load(std::memory_order_relaxed) >= 0) {
-      approx_bytes_.fetch_add(static_cast<std::int64_t>(bytes.size()),
-                              std::memory_order_relaxed);
+      approx_bytes_.fetch_add(size, std::memory_order_relaxed);
     }
     maybe_evict();
   }
@@ -434,14 +336,15 @@ GcStats FsCacheBackend::gc() {
   if (!lock.has_value()) return result;
 
   // Sweep orphaned temp files: a writer that died between open and rename
-  // leaves `<entry>.tmp<pid>.<tid>` behind. A live pid means a store (or
-  // journal compaction) is in flight right now — leave it alone.
+  // leaves its serialize::temp_path (`<file>.tmp<pid>.<tid>`) behind. A
+  // live pid means a replace_file is in flight right now (an entry store,
+  // journal compaction, the fleet queue snapshot) — leave it alone.
   std::vector<fs::path> tmp_files;
   std::vector<fs::path> lock_files;
   for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
        it.increment(ec)) {
     const std::string name = it->path().filename().string();
-    if (name.find(".tmp") != std::string::npos) {
+    if (serialize::is_temp_name(name)) {
       tmp_files.push_back(it->path());
     } else if (name.size() > 5 && name.substr(name.size() - 5) == ".lock" &&
                name != kGcLockName) {
@@ -449,7 +352,7 @@ GcStats FsCacheBackend::gc() {
     }
   }
   for (const fs::path& tmp : tmp_files) {
-    if (tmp_owner_alive(tmp.filename().string())) continue;
+    if (serialize::temp_writer_alive(tmp.filename().string())) continue;
     fs::remove(tmp, ec);
     if (!ec) ++result.removed_tmp;
   }

@@ -13,6 +13,12 @@
 // recomputes); a failed store is dropped silently. Loads/stores are
 // thread-safe — the scheduler calls them from pool workers.
 //
+// One byte path: an entry file is exactly encode_run_result's bytes, stored
+// by store_bytes through serialize::replace_file (temp file
+// `<hex>.rr.tmp<pid>.<tid>`, then rename; store() encodes first) and read
+// whole by serialize::read_file (load() decodes it, load_bytes() does
+// not), so readers never observe a half-written entry.
+//
 // Cross-process coordination: every key has an advisory lockfile
 // (`<hex>.lock`, flock-based — sched/file_lock.h). Claim states:
 //
@@ -35,8 +41,9 @@
 // lock is currently held (in-flight: being trained, stored, or
 // double-checked) is never evicted; eviction holds the key's lock while
 // unlinking so a concurrent claimant can never watch its entry vanish
-// mid-claim. `gc()` additionally sweeps orphaned `.tmp` files (dead writer
-// pids) and unheld lockfiles — exposed as `nnr_run --cache-gc`.
+// mid-claim. `gc()` additionally sweeps orphaned temp files (dead writer
+// pids, serialize::temp_writer_alive) and unheld lockfiles — exposed as
+// `nnr_run --cache-gc`.
 #pragma once
 
 #include <atomic>
@@ -91,10 +98,11 @@ class FsCacheBackend final : public CacheBackend {
   /// reads advance LRU recency like local ones.
   [[nodiscard]] std::optional<std::string> load_bytes(const CellKey& key);
 
-  /// Stores pre-validated raw bytes under `key` (the daemon's PUT path).
-  /// Same atomic temp-file + rename, journal touch, and budget-eviction
-  /// hook as store().
-  bool store_bytes(const CellKey& key, std::string_view bytes);
+  /// Stores pre-validated raw bytes under `key` (the daemon's PUT path;
+  /// store() encodes and lands here too): atomic replace_file, journal
+  /// touch, stats, and the budget-eviction hook.
+  bool store_bytes(const CellKey& key, std::string_view bytes,
+                   CacheStats* run = nullptr);
 
   /// True when an entry file for `key` exists right now — a pure existence
   /// probe (the daemon's SUBMIT dedupe path). Unlike load/load_bytes it
@@ -116,6 +124,16 @@ class FsCacheBackend final : public CacheBackend {
   [[nodiscard]] std::string lock_path_for(const CellKey& key) const;
 
  private:
+  /// The one read path behind load() and load_bytes(): the entry's bytes,
+  /// counted as a hit. With `decoded` set they must also decode into it,
+  /// or the entry counts as a corrupt miss; a missing entry is a plain miss
+  /// (neither counted unless `count_miss`).
+  [[nodiscard]] std::optional<std::string> read_entry(const CellKey& key,
+                                                      CacheStats* run,
+                                                      bool count_miss,
+                                                      core::RunResult* decoded);
+  /// Adds `delta` to the lifetime stats and, when non-null, to `run`.
+  void count(const CacheStats& delta, CacheStats* run);
   void touch(const CellKey& key) const;  // journal an access (best-effort)
   void ensure_dir_and_manifest();
   void maybe_evict();

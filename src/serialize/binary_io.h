@@ -1,29 +1,58 @@
-// Shared plumbing for the NNR binary formats — both the on-disk ones
-// (checkpoint.cc, run_result.cc) and the nnr_cached wire protocol
-// (net/frame.h): an incremental FNV-1a digest, Writer/Reader over files, and
-// BufWriter/BufReader over in-memory byte strings. Every producer emits
-//   magic | body | u64 FNV-1a trailer over the body
-// and every consumer verifies magic + checksum before handing out a single
-// byte. A payload encoded with BufWriter is byte-identical to the file
-// Writer would have produced, which is what lets the remote cache daemon
-// ship cache entries over TCP and store them verbatim on disk.
+// The one byte path behind every NNR persisted format (checkpoints, run
+// results, the journal, the fleet queue snapshot, the daemon's shard
+// identity) and the nnr_cached wire frame (net/frame.h): encode in memory,
+// write with replace_file, read with read_file, decode from the bytes.
+// Since a file holds exactly the encoding, the cache daemon ships entries
+// over TCP and stores them verbatim.
 //
-// Every format built on this layer shares the replicability contract:
-// float32 payloads are raw IEEE-754 bytes (never text), so a round-trip is
-// bitwise lossless, and any truncation or corruption surfaces as a
+// Binary formats are magic | body | u64 FNV-1a trailer over the body,
+// built by BufWriter; BufReader verifies magic + checksum before handing
+// out a byte, and checks every length field against the bytes left before
+// allocating for it. float32 payloads are raw IEEE-754 bytes, so a
+// round-trip is bitwise lossless, and any truncation or corruption is a
 // CheckpointError instead of silently wrong data.
+//
+// replace_file writes `<path>.tmp<pid>.<tid>` (one name per writing process
+// and thread), flushes and checks the stream, then renames it over `path`:
+// readers see the old file or the new one, never a torn one. No fsync: a
+// crash can lose the newest write, never expose a partial one. A writer
+// killed before the rename leaves its temp file behind; temp_writer_alive
+// lets a sweeper (FsCacheBackend::gc) tell that orphan from a live write.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include "serialize/checkpoint.h"
+
+namespace nnr::serialize {
+
+/// The whole file at `path`; nullopt when it cannot be opened or read.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
+
+/// Atomically replaces `path` with `bytes` through temp_path(path) (see the
+/// header comment). False on any failure, leaving `path` untouched and no
+/// temp file behind.
+bool replace_file(const std::string& path, std::string_view bytes);
+
+/// The temp name replace_file writes `path` through from this process and
+/// thread: `<path>.tmp<pid>.<tid>`.
+[[nodiscard]] std::string temp_path(const std::string& path);
+
+/// True when the file name `name` has the temp-name shape (contains ".tmp").
+[[nodiscard]] bool is_temp_name(std::string_view name);
+
+/// True when the pid embedded in temp name `name` still names a live
+/// process (alive, or present but not ours to signal). Unparsable pids
+/// count as dead: such a file can only be an orphan from a crashed writer.
+[[nodiscard]] bool temp_writer_alive(const std::string& name);
+
+}  // namespace nnr::serialize
 
 namespace nnr::serialize::detail {
 
@@ -43,53 +72,9 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-class Writer {
- public:
-  Writer(const std::string& path, const std::array<char, 8>& magic)
-      : out_(path, std::ios::binary | std::ios::trunc) {
-    if (!out_) throw CheckpointError("cannot open for writing: " + path);
-    out_.write(magic.data(), magic.size());
-    bytes_written_ = magic.size();
-  }
-
-  template <typename T>
-  void put(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    out_.write(reinterpret_cast<const char*>(&v), sizeof(T));
-    hash_.update(&v, sizeof(T));
-    bytes_written_ += sizeof(T);
-  }
-
-  void put_bytes(const void* data, std::size_t bytes) {
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(bytes));
-    hash_.update(data, bytes);
-    bytes_written_ += bytes;
-  }
-
-  /// Appends the checksum trailer and returns the file's total size in
-  /// bytes — the exact accounting figure, so callers (the replicate cache)
-  /// never have to re-stat the file and risk counting a garbage size.
-  std::uint64_t finish(const std::string& path) {
-    const std::uint64_t digest = hash_.digest();
-    out_.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
-    bytes_written_ += sizeof(digest);
-    out_.flush();
-    if (!out_) throw CheckpointError("write failed: " + path);
-    return bytes_written_;
-  }
-
- private:
-  std::ofstream out_;
-  Fnv1a hash_;
-  std::uint64_t bytes_written_ = 0;
-};
-
-/// Writer twin that appends to an in-memory string instead of a file, with
-/// an arbitrary-length magic (file formats use 8 bytes, the wire frame 4).
-/// finish() returns the complete payload: magic | body | FNV-1a trailer —
-/// byte-identical to what Writer would have put on disk for the same magic
-/// and the same sequence of puts.
+/// Encodes into an in-memory string, with an arbitrary-length magic (file
+/// formats use 8 bytes, the queue snapshot and the wire frame 4).
+/// finish() returns the complete payload: magic | body | FNV-1a trailer.
 class BufWriter {
  public:
   explicit BufWriter(std::string_view magic) { buf_.assign(magic); }
@@ -116,16 +101,32 @@ class BufWriter {
   Fnv1a hash_;
 };
 
-class Reader {
+/// Decodes a payload (magic | body | trailer) after verifying magic and
+/// checksum. The payload must outlive the reader — it is viewed, not
+/// copied. `label` (a file path, "<wire frame>", ...) names the source in
+/// error messages.
+class BufReader {
  public:
-  Reader(const std::string& path, const std::array<char, 8>& magic)
-      : path_(path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw CheckpointError("cannot open for reading: " + path);
-    bytes_.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-    init(std::string_view(bytes_.data(), bytes_.size()),
-         std::string_view(magic.data(), magic.size()));
+  BufReader(std::string_view payload, std::string_view magic,
+            std::string label = "<buffer>")
+      : label_(std::move(label)), data_(payload.data()) {
+    if (payload.size() < magic.size() + sizeof(std::uint64_t)) {
+      throw CheckpointError("truncated checkpoint: " + label_);
+    }
+    if (std::memcmp(payload.data(), magic.data(), magic.size()) != 0) {
+      throw CheckpointError(
+          "bad magic (wrong or non-NNR checkpoint kind): " + label_);
+    }
+    body_end_ = payload.size() - sizeof(std::uint64_t);
+    std::uint64_t stored = 0;
+    std::memcpy(&stored, payload.data() + body_end_, sizeof(stored));
+    Fnv1a hash;
+    hash.update(payload.data() + magic.size(), body_end_ - magic.size());
+    if (hash.digest() != stored) {
+      throw CheckpointError("checksum mismatch (corrupt checkpoint): " +
+                            label_);
+    }
+    pos_ = magic.size();
   }
 
   template <typename T>
@@ -140,8 +141,28 @@ class Reader {
 
   void get_bytes(void* dst, std::size_t bytes) {
     need(bytes);
+    if (bytes == 0) return;
     std::memcpy(dst, data_ + pos_, bytes);
     pos_ += bytes;
+  }
+
+  /// `count` elements of T read from the body. The count is checked
+  /// against the unread bytes before anything is allocated.
+  template <typename T>
+  std::vector<T> get_vector(std::uint64_t count) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (count > remaining() / sizeof(T)) truncated();
+    std::vector<T> v(static_cast<std::size_t>(count));
+    get_bytes(v.data(), v.size() * sizeof(T));
+    return v;
+  }
+
+  /// `len` raw bytes as a string, checked like get_vector.
+  std::string get_string(std::size_t len) {
+    need(len);
+    std::string s(data_ + pos_, len);
+    pos_ += len;
+    return s;
   }
 
   [[nodiscard]] bool exhausted() const noexcept { return pos_ == body_end_; }
@@ -151,56 +172,19 @@ class Reader {
     return body_end_ - pos_;
   }
 
- protected:
-  /// BufReader path: verify `bytes` (not owned) against `magic`.
-  Reader(std::string_view bytes, std::string_view magic, std::string label)
-      : path_(std::move(label)) {
-    init(bytes, magic);
-  }
-
  private:
-  void init(std::string_view bytes, std::string_view magic) {
-    data_ = bytes.data();
-    if (bytes.size() < magic.size() + sizeof(std::uint64_t)) {
-      throw CheckpointError("truncated checkpoint: " + path_);
-    }
-    if (std::memcmp(bytes.data(), magic.data(), magic.size()) != 0) {
-      throw CheckpointError(
-          "bad magic (wrong or non-NNR checkpoint kind): " + path_);
-    }
-    body_end_ = bytes.size() - sizeof(std::uint64_t);
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + body_end_, sizeof(stored));
-    Fnv1a hash;
-    hash.update(bytes.data() + magic.size(), body_end_ - magic.size());
-    if (hash.digest() != stored) {
-      throw CheckpointError("checksum mismatch (corrupt checkpoint): " +
-                            path_);
-    }
-    pos_ = magic.size();
-  }
-
   void need(std::size_t bytes) const {
-    if (pos_ + bytes > body_end_) {
-      throw CheckpointError("truncated checkpoint body: " + path_);
-    }
+    if (bytes > remaining()) truncated();
   }
 
-  std::string path_;
-  std::vector<char> bytes_;   // owned storage (file path only)
+  [[noreturn]] void truncated() const {
+    throw CheckpointError("truncated checkpoint body: " + label_);
+  }
+
+  std::string label_;
   const char* data_ = nullptr;
   std::size_t body_end_ = 0;
   std::size_t pos_ = 0;
-};
-
-/// Reader twin over an in-memory payload (magic | body | trailer). The
-/// payload must outlive the reader — it is viewed, not copied. `label`
-/// replaces the file path in error messages (e.g. "<wire>").
-class BufReader : public Reader {
- public:
-  BufReader(std::string_view payload, std::string_view magic,
-            std::string label = "<buffer>")
-      : Reader(payload, magic, std::move(label)) {}
 };
 
 }  // namespace nnr::serialize::detail

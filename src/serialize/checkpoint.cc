@@ -1,6 +1,7 @@
 #include "serialize/checkpoint.h"
 
-#include <array>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "serialize/binary_io.h"
@@ -9,12 +10,11 @@ namespace nnr::serialize {
 
 namespace {
 
-using detail::Reader;
-using detail::Writer;
+using detail::BufReader;
+using detail::BufWriter;
 
-constexpr std::array<char, 8> kMagic = {'N', 'N', 'R', 'C', 'K', 'P', 'T', '1'};
-constexpr std::array<char, 8> kTrainMagic = {'N', 'N', 'R', 'T', 'R',
-                                             'N', 'S', '1'};
+constexpr std::string_view kMagic = "NNRCKPT1";
+constexpr std::string_view kTrainMagic = "NNRTRNS1";
 constexpr std::uint32_t kKindParam = 0;
 constexpr std::uint32_t kKindBuffer = 1;
 constexpr std::uint32_t kKindOptSlot = 2;
@@ -24,6 +24,20 @@ struct Entry {
   std::string name;
   tensor::Tensor* value;
 };
+
+void write_checkpoint_file(const std::string& path, const std::string& bytes) {
+  if (!replace_file(path, bytes)) {
+    throw CheckpointError("write failed: " + path);
+  }
+}
+
+std::string read_checkpoint_file(const std::string& path) {
+  std::optional<std::string> bytes = read_file(path);
+  if (!bytes.has_value()) {
+    throw CheckpointError("cannot open for reading: " + path);
+  }
+  return std::move(*bytes);
+}
 
 std::vector<Entry> collect_entries(nn::Model& model) {
   std::vector<Entry> entries;
@@ -36,7 +50,7 @@ std::vector<Entry> collect_entries(nn::Model& model) {
   return entries;
 }
 
-void write_entry(Writer& w, const Entry& e) {
+void write_entry(BufWriter& w, const Entry& e) {
   w.put(e.kind);
   w.put(static_cast<std::uint32_t>(e.name.size()));
   w.put_bytes(e.name.data(), e.name.size());
@@ -49,15 +63,13 @@ void write_entry(Writer& w, const Entry& e) {
               static_cast<std::size_t>(e.value->numel()) * sizeof(float));
 }
 
-void read_entry_into(Reader& r, const Entry& e, std::size_t index) {
+void read_entry_into(BufReader& r, const Entry& e, std::size_t index) {
   const auto kind = r.get<std::uint32_t>();
   if (kind != e.kind) {
     throw CheckpointError("entry " + std::to_string(index) +
                           ": kind mismatch (param/buffer order differs)");
   }
-  const auto name_len = r.get<std::uint32_t>();
-  std::string name(name_len, '\0');
-  r.get_bytes(name.data(), name_len);
+  const std::string name = r.get_string(r.get<std::uint32_t>());
   if (name != e.name) {
     throw CheckpointError("entry " + std::to_string(index) + ": name '" +
                           name + "' does not match model entry '" + e.name +
@@ -83,15 +95,16 @@ void read_entry_into(Reader& r, const Entry& e, std::size_t index) {
 
 void save_model(const std::string& path, nn::Model& model) {
   const std::vector<Entry> entries = collect_entries(model);
-  Writer w(path, kMagic);
+  BufWriter w(kMagic);
   w.put(static_cast<std::uint32_t>(entries.size()));
   for (const Entry& e : entries) write_entry(w, e);
-  w.finish(path);
+  write_checkpoint_file(path, w.finish());
 }
 
 void load_model(const std::string& path, nn::Model& model) {
   const std::vector<Entry> entries = collect_entries(model);
-  Reader r(path, kMagic);
+  const std::string bytes = read_checkpoint_file(path);
+  BufReader r(bytes, kMagic, path);
   const auto count = r.get<std::uint32_t>();
   if (count != entries.size()) {
     throw CheckpointError(
@@ -112,7 +125,7 @@ std::size_t checkpoint_entry_count(nn::Model& model) {
 
 namespace {
 
-void write_slot(Writer& w, const std::string& name,
+void write_slot(BufWriter& w, const std::string& name,
                 const std::vector<float>& slot) {
   w.put(kKindOptSlot);
   w.put(static_cast<std::uint32_t>(name.size()));
@@ -122,16 +135,14 @@ void write_slot(Writer& w, const std::string& name,
   w.put_bytes(slot.data(), slot.size() * sizeof(float));
 }
 
-void read_slot_into(Reader& r, const std::string& expected_name,
+void read_slot_into(BufReader& r, const std::string& expected_name,
                     std::vector<float>& slot, std::size_t index) {
   const auto kind = r.get<std::uint32_t>();
   if (kind != kKindOptSlot) {
     throw CheckpointError("entry " + std::to_string(index) +
                           ": expected an optimizer slot");
   }
-  const auto name_len = r.get<std::uint32_t>();
-  std::string name(name_len, '\0');
-  r.get_bytes(name.data(), name_len);
+  const std::string name = r.get_string(r.get<std::uint32_t>());
   if (name != expected_name) {
     throw CheckpointError("optimizer slot '" + name +
                           "' does not match expected '" + expected_name +
@@ -151,20 +162,21 @@ void save_training_state(const std::string& path, nn::Model& model,
                          opt::Optimizer& optimizer) {
   const std::vector<Entry> entries = collect_entries(model);
   const auto slots = optimizer.mutable_state();
-  Writer w(path, kTrainMagic);
+  BufWriter w(kTrainMagic);
   w.put(static_cast<std::uint64_t>(optimizer.steps_taken()));
   w.put(static_cast<std::uint32_t>(entries.size()));
   w.put(static_cast<std::uint32_t>(slots.size()));
   for (const Entry& e : entries) write_entry(w, e);
   for (const auto& [name, slot] : slots) write_slot(w, name, *slot);
-  w.finish(path);
+  write_checkpoint_file(path, w.finish());
 }
 
 void load_training_state(const std::string& path, nn::Model& model,
                          opt::Optimizer& optimizer) {
   const std::vector<Entry> entries = collect_entries(model);
   const auto slots = optimizer.mutable_state();
-  Reader r(path, kTrainMagic);
+  const std::string bytes = read_checkpoint_file(path);
+  BufReader r(bytes, kTrainMagic, path);
   const auto steps = r.get<std::uint64_t>();
   const auto entry_count = r.get<std::uint32_t>();
   const auto slot_count = r.get<std::uint32_t>();

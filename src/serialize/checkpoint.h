@@ -33,7 +33,8 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Writes all parameters and buffers of `model` to `path`.
+/// Writes all parameters and buffers of `model` to `path`, replacing it
+/// atomically (serialize/binary_io.h: encode in memory, then replace_file).
 void save_model(const std::string& path, nn::Model& model);
 
 /// Restores parameters and buffers into `model`, which must have the same

@@ -5,8 +5,10 @@
 
 #include <cctype>
 #include <filesystem>
-#include <fstream>
+#include <sstream>
 #include <system_error>
+
+#include "serialize/binary_io.h"
 
 namespace nnr::serialize {
 
@@ -43,8 +45,7 @@ void AccessJournal::append(const std::string& token) const noexcept {
 
 std::vector<std::string> AccessJournal::read() const {
   std::vector<std::string> tokens;
-  std::ifstream in(path_);
-  if (!in) return tokens;
+  std::istringstream in(read_file(path_).value_or(""));
   std::string line;
   while (std::getline(in, line)) {
     if (well_formed(line)) tokens.push_back(line);
@@ -54,21 +55,9 @@ std::vector<std::string> AccessJournal::read() const {
 
 void AccessJournal::rewrite(
     const std::vector<std::string>& tokens) const noexcept {
-  const std::string tmp = path_ + ".tmp" + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return;
-    for (const std::string& token : tokens) out << token << '\n';
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path_, ec);
-  if (ec) fs::remove(tmp, ec);
+  std::string bytes;
+  for (const std::string& token : tokens) bytes += token + '\n';
+  (void)replace_file(path_, bytes);
 }
 
 std::int64_t AccessJournal::size_bytes() const noexcept {

@@ -10,7 +10,8 @@
 // within a record. Readers tolerate a torn trailing line (a
 // writer killed mid-append): malformed lines are skipped, never fatal,
 // matching the cache's "accelerator, not correctness dependency" policy.
-// Compaction (rewrite) is temp-file + rename, so a reader always sees
+// Compaction (rewrite) goes through serialize::replace_file (temp file +
+// rename, serialize/binary_io.h), so a reader always sees
 // either the old journal or the new one; callers serialize compaction
 // against other *writers* with the cache-wide lock.
 #pragma once
@@ -38,7 +39,7 @@ class AccessJournal {
   [[nodiscard]] std::vector<std::string> read() const;
 
   /// Replaces the journal with exactly `tokens`, one per line (compaction).
-  /// Atomic via temp file + rename; best-effort like append. Appends do
+  /// Atomic via serialize::replace_file; best-effort like append. Appends do
   /// NOT take any lock, so a record landing between the caller's read()
   /// and this rename is discarded — callers serialize rewrites against
   /// each other (cache-wide lock) and should skip the rewrite when the

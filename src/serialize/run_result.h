@@ -10,11 +10,12 @@
 // against a different cell, even after a file rename.
 //
 // The same byte stream exists in two places: as a file under the cache dir
-// (FsCacheBackend) and as the GET/PUT payload of the nnr_cached wire
-// protocol (RemoteCacheBackend). encode_run_result produces bytes identical
-// to what save_run_result writes, so the daemon can store a PUT body
-// verbatim and serve a GET straight from the file — no re-encoding, no
-// trust: every consumer re-verifies magic, checksum, and embedded key.
+// (FsCacheBackend, which writes it with serialize::replace_file and reads it
+// with serialize::read_file) and as the GET/PUT payload of the nnr_cached
+// wire protocol (RemoteCacheBackend). There is one encoder and one decoder,
+// so the daemon can store a PUT body verbatim and serve a GET straight from
+// the file — no re-encoding, no trust: every consumer re-verifies magic,
+// checksum, and embedded key.
 //
 // Format (little-endian):
 //   magic "NNRRSLT1"
@@ -35,31 +36,19 @@
 
 namespace nnr::serialize {
 
-/// Writes `result` to `path`, stamped with the cell content key. Returns
-/// the number of bytes written (the file's exact size), so cache accounting
-/// never depends on re-statting the file. Throws CheckpointError on I/O
-/// failure.
-std::uint64_t save_run_result(const std::string& path,
-                              const core::RunResult& result,
-                              std::uint64_t key_hi, std::uint64_t key_lo);
-
-/// Reads a RunResult back. Throws CheckpointError on I/O failure, magic or
-/// checksum mismatch, truncation, or when the embedded key differs from
-/// (key_hi, key_lo) — the caller asked for a different cell's result.
-[[nodiscard]] core::RunResult load_run_result(const std::string& path,
-                                              std::uint64_t key_hi,
-                                              std::uint64_t key_lo);
-
-/// In-memory twin of save_run_result: the returned bytes are exactly what
-/// save_run_result would have written to a file (same magic, body, and
-/// checksum trailer). This is the PUT payload of the remote cache protocol.
+/// The complete encoding of `result` (magic | body | checksum trailer),
+/// stamped with the cell content key: the cache entry file's bytes and the
+/// PUT payload of the remote cache protocol.
 [[nodiscard]] std::string encode_run_result(const core::RunResult& result,
                                             std::uint64_t key_hi,
                                             std::uint64_t key_lo);
 
-/// In-memory twin of load_run_result, for GET payloads received over the
-/// wire. Same validation, same exceptions; `label` names the source in
-/// error messages.
+/// Decodes bytes produced by encode_run_result. Throws CheckpointError on
+/// magic or checksum mismatch, truncation, a length field that overruns the
+/// payload, trailing bytes, or when the embedded key differs from
+/// (key_hi, key_lo) — the caller asked for a different cell's result.
+/// `label` (the file path, "<wire>", ...) names the source in error
+/// messages.
 [[nodiscard]] core::RunResult decode_run_result(std::string_view bytes,
                                                 std::uint64_t key_hi,
                                                 std::uint64_t key_lo,

@@ -681,10 +681,10 @@ TEST_F(RemoteCacheTest, DaemonRejectsInvalidPutPayload) {
   w.put_bytes(garbage);
   ASSERT_TRUE(net::send_frame(sock, static_cast<std::uint8_t>(net::Op::kPut),
                               w.take()));
-  auto reply = net::recv_frame(sock);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_FALSE(reply->body.empty());
-  EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kError)
+  auto reply = net::recv_frame_ex(sock);
+  ASSERT_EQ(reply.status, net::RecvStatus::kFrame);
+  ASSERT_FALSE(reply.frame.body.empty());
+  EXPECT_EQ(static_cast<net::Status>(reply.frame.body[0]), net::Status::kError)
       << "the daemon must refuse a payload that fails validation";
   EXPECT_FALSE(fs::exists(FsCacheBackend(dir_.string()).path_for(key)))
       << "a refused PUT must not touch the cache dir";

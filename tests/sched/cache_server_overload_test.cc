@@ -110,16 +110,17 @@ TEST_F(OverloadServerTest, ConnectionCapAnswersGoAwayBusyThenCloses) {
   for (net::Socket* sock : {&first, &second}) {
     ASSERT_TRUE(net::send_frame(
         *sock, static_cast<std::uint8_t>(net::Op::kPing), ""));
-    ASSERT_TRUE(net::recv_frame(*sock).has_value());
+    ASSERT_EQ(net::recv_frame_ex(*sock).status, net::RecvStatus::kFrame);
   }
 
   // The third is over capacity: exactly one kGoAway frame, then EOF.
   net::Socket excess = raw_conn();
-  const auto frame = net::recv_frame(excess);
-  ASSERT_TRUE(frame.has_value()) << "the refusal must be explicit, not "
-                                    "a silent close the client misreads";
-  EXPECT_EQ(frame->opcode, static_cast<std::uint8_t>(net::Op::kGoAway));
-  net::BodyReader r(frame->body);
+  const auto frame = net::recv_frame_ex(excess);
+  ASSERT_EQ(frame.status, net::RecvStatus::kFrame)
+      << "the refusal must be explicit, not a silent close the client "
+         "misreads";
+  EXPECT_EQ(frame.frame.opcode, static_cast<std::uint8_t>(net::Op::kGoAway));
+  net::BodyReader r(frame.frame.body);
   EXPECT_EQ(static_cast<net::Status>(r.get<std::uint8_t>()),
             net::Status::kBusy);
   EXPECT_GT(r.get<std::uint32_t>(), 0u) << "retry hint must be usable";
@@ -136,11 +137,12 @@ TEST_F(OverloadServerTest, ConnectionCapAnswersGoAwayBusyThenCloses) {
     net::Socket retry = raw_conn();
     if (net::send_frame(retry, static_cast<std::uint8_t>(net::Op::kPing),
                         "")) {
-      const auto reply = net::recv_frame(retry);
+      const auto reply = net::recv_frame_ex(retry);
       // A kGoAway here means the daemon hasn't noticed the close yet —
       // keep retrying; only an echoed ping proves admission.
-      admitted = reply.has_value() &&
-                 reply->opcode == static_cast<std::uint8_t>(net::Op::kPing);
+      admitted = reply.status == net::RecvStatus::kFrame &&
+                 reply.frame.opcode ==
+                     static_cast<std::uint8_t>(net::Op::kPing);
     }
     if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -186,19 +188,20 @@ TEST_F(OverloadServerTest, OverRateClientIsThrottledWithARetryHint) {
   // First request spends the single token...
   ASSERT_TRUE(
       net::send_frame(greedy, static_cast<std::uint8_t>(net::Op::kPing), ""));
-  auto reply = net::recv_frame(greedy);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_FALSE(reply->body.empty());
-  EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kOk);
+  auto reply = net::recv_frame_ex(greedy);
+  ASSERT_EQ(reply.status, net::RecvStatus::kFrame);
+  ASSERT_FALSE(reply.frame.body.empty());
+  EXPECT_EQ(static_cast<net::Status>(reply.frame.body[0]), net::Status::kOk);
 
   // ...the immediate second is refused, connection intact, hint attached.
   ASSERT_TRUE(
       net::send_frame(greedy, static_cast<std::uint8_t>(net::Op::kPing), ""));
-  reply = net::recv_frame(greedy);
-  ASSERT_TRUE(reply.has_value()) << "throttling must answer, not drop";
-  EXPECT_EQ(reply->opcode, static_cast<std::uint8_t>(net::Op::kPing))
+  reply = net::recv_frame_ex(greedy);
+  ASSERT_EQ(reply.status, net::RecvStatus::kFrame)
+      << "throttling must answer, not drop";
+  EXPECT_EQ(reply.frame.opcode, static_cast<std::uint8_t>(net::Op::kPing))
       << "the refusal echoes the request opcode";
-  net::BodyReader r(reply->body);
+  net::BodyReader r(reply.frame.body);
   EXPECT_EQ(static_cast<net::Status>(r.get<std::uint8_t>()),
             net::Status::kThrottled);
   const std::uint32_t hint_ms = r.get<std::uint32_t>();
@@ -211,19 +214,20 @@ TEST_F(OverloadServerTest, OverRateClientIsThrottledWithARetryHint) {
   net::Socket neighbor = raw_conn();
   ASSERT_TRUE(net::send_frame(neighbor,
                               static_cast<std::uint8_t>(net::Op::kPing), ""));
-  const auto ok = net::recv_frame(neighbor);
-  ASSERT_TRUE(ok.has_value());
-  ASSERT_FALSE(ok->body.empty());
-  EXPECT_EQ(static_cast<net::Status>(ok->body[0]), net::Status::kOk);
+  const auto ok = net::recv_frame_ex(neighbor);
+  ASSERT_EQ(ok.status, net::RecvStatus::kFrame);
+  ASSERT_FALSE(ok.frame.body.empty());
+  EXPECT_EQ(static_cast<net::Status>(ok.frame.body[0]), net::Status::kOk);
 
   // And the greedy connection survives: after the hint, a token exists.
   std::this_thread::sleep_for(std::chrono::milliseconds(hint_ms + 100));
   ASSERT_TRUE(
       net::send_frame(greedy, static_cast<std::uint8_t>(net::Op::kPing), ""));
-  reply = net::recv_frame(greedy);
-  ASSERT_TRUE(reply.has_value()) << "the throttled connection must survive";
-  ASSERT_FALSE(reply->body.empty());
-  EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kOk);
+  reply = net::recv_frame_ex(greedy);
+  ASSERT_EQ(reply.status, net::RecvStatus::kFrame)
+      << "the throttled connection must survive";
+  ASSERT_FALSE(reply.frame.body.empty());
+  EXPECT_EQ(static_cast<net::Status>(reply.frame.body[0]), net::Status::kOk);
 }
 
 TEST_F(OverloadServerTest, ThrottleHonoringBackendSucceedsTransparently) {

@@ -194,10 +194,10 @@ TEST_F(FleetServerTest, ReportForUnclaimedCellAnswersGone) {
   w.put(static_cast<std::uint8_t>(net::ReportOutcome::kTrained));
   ASSERT_TRUE(net::send_frame(
       sock, static_cast<std::uint8_t>(net::Op::kReport), w.take()));
-  const auto reply = net::recv_frame(sock);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_FALSE(reply->body.empty());
-  EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kGone);
+  const auto reply = net::recv_frame_ex(sock);
+  ASSERT_EQ(reply.status, net::RecvStatus::kFrame);
+  ASSERT_FALSE(reply.frame.body.empty());
+  EXPECT_EQ(static_cast<net::Status>(reply.frame.body[0]), net::Status::kGone);
 }
 
 TEST_F(FleetServerTest, ReportWithInvalidOutcomeByteAnswersError) {
@@ -209,10 +209,10 @@ TEST_F(FleetServerTest, ReportWithInvalidOutcomeByteAnswersError) {
   w.put(std::uint8_t{7});  // not a ReportOutcome
   ASSERT_TRUE(net::send_frame(
       sock, static_cast<std::uint8_t>(net::Op::kReport), w.take()));
-  const auto reply = net::recv_frame(sock);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_FALSE(reply->body.empty());
-  EXPECT_EQ(static_cast<net::Status>(reply->body[0]), net::Status::kError);
+  const auto reply = net::recv_frame_ex(sock);
+  ASSERT_EQ(reply.status, net::RecvStatus::kFrame);
+  ASSERT_FALSE(reply.frame.body.empty());
+  EXPECT_EQ(static_cast<net::Status>(reply.frame.body[0]), net::Status::kError);
 }
 
 TEST_F(FleetServerTest, MalformedFleetBodiesCostTheConnectionNotTheDaemon) {
@@ -236,7 +236,7 @@ TEST_F(FleetServerTest, MalformedFleetBodiesCostTheConnectionNotTheDaemon) {
     ASSERT_TRUE(
         net::send_frame(sock, static_cast<std::uint8_t>(c.op), c.body))
         << c.what;
-    EXPECT_FALSE(net::recv_frame(sock).has_value())
+    EXPECT_NE(net::recv_frame_ex(sock).status, net::RecvStatus::kFrame)
         << c.what << ": a malformed body is a protocol violation — the "
         << "daemon must drop the connection, not answer";
     // The daemon itself must shrug it off: a fresh connection works.
@@ -260,7 +260,7 @@ TEST_F(FleetServerTest, MalformedBodySweepDropsOffenderNotHealthyClients) {
     ASSERT_TRUE(net::send_frame(sock, static_cast<std::uint8_t>(op),
                                 std::string("\x01", 1)))
         << "op " << static_cast<int>(op);
-    EXPECT_FALSE(net::recv_frame(sock).has_value())
+    EXPECT_NE(net::recv_frame_ex(sock).status, net::RecvStatus::kFrame)
         << "op " << static_cast<int>(op)
         << ": a truncated body must cost the connection, never get an answer";
     EXPECT_TRUE(healthy->ping())
@@ -442,10 +442,11 @@ TEST_F(FleetServerTest, SubmitDuringDrainIsRefusedWithBusyNotEnqueued) {
   server.stop();
   server.run();
 
-  auto reply = net::recv_frame(sock);
-  ASSERT_TRUE(reply.has_value()) << "the drain pass must answer, not drop";
-  EXPECT_EQ(static_cast<net::Op>(reply->opcode), net::Op::kSubmit);
-  net::BodyReader r(reply->body);
+  auto reply = net::recv_frame_ex(sock);
+  ASSERT_EQ(reply.status, net::RecvStatus::kFrame)
+      << "the drain pass must answer, not drop";
+  EXPECT_EQ(static_cast<net::Op>(reply.frame.opcode), net::Op::kSubmit);
+  net::BodyReader r(reply.frame.body);
   EXPECT_EQ(static_cast<net::Status>(r.get<std::uint8_t>()),
             net::Status::kBusy);
   EXPECT_EQ(r.get<std::uint32_t>(), 1234u) << "retry hint = busy_retry_ms";

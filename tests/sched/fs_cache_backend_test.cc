@@ -5,13 +5,20 @@
 // budget (never an in-flight key), and GC of orphaned temp/lock files.
 #include "sched/fs_cache_backend.h"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "sched/fleet_queue.h"
+#include "serialize/binary_io.h"
 
 namespace nnr::sched {
 namespace {
@@ -322,6 +329,75 @@ TEST_F(FsCacheBackendTest, GcSweepsOrphanedTempAndStaleLockFiles) {
             fs::file_size(cache.path_for(keep)));
   // The surviving entry still loads.
   EXPECT_TRUE(cache.load(keep).has_value());
+}
+
+/// The pid of a child that has exited and been reaped: a writer that is
+/// certainly dead.
+pid_t reaped_child_pid() {
+  const pid_t pid = ::fork();
+  if (pid == 0) ::_exit(0);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return pid;
+}
+
+// gc() judges a temp file by the writer pid the shared temp name embeds
+// (serialize::temp_path): kept while that process lives, swept once it
+// is gone.
+TEST_F(FsCacheBackendTest, GcKeepsALiveWritersTempFileAndSweepsADeadOnes) {
+  FsCacheBackend cache(dir_.string());
+  ASSERT_TRUE(cache.store(CellKey{1, 1}, sample_result()));
+  const std::string live =
+      serialize::temp_path((dir_ / "fleet_queue.nnrq").string());
+  const std::string own_pid = ".tmp" + std::to_string(::getpid()) + ".";
+  std::string dead = live;
+  dead.replace(dead.rfind(own_pid), own_pid.size(),
+               ".tmp" + std::to_string(reaped_child_pid()) + ".");
+  std::ofstream(live).put('x');
+  std::ofstream(dead).put('x');
+
+  const GcStats gc = cache.gc();
+  EXPECT_TRUE(fs::exists(live)) << "its writer (this process) is alive";
+  EXPECT_FALSE(fs::exists(dead)) << "its writer has exited";
+  EXPECT_EQ(gc.removed_tmp, 1);
+}
+
+// The daemon keeps its fleet queue snapshot in the cache dir it serves, so
+// a gc() may run while the queue persists. Its in-flight temp file must
+// read as a live writer's: nothing is swept, every snapshot write lands,
+// and no temp file is left behind.
+TEST_F(FsCacheBackendTest, GcNeverSweepsAnInFlightQueueSnapshot) {
+  FsCacheBackend cache(dir_.string());
+  ASSERT_TRUE(cache.store(CellKey{1, 1}, sample_result()));
+  const std::string snapshot = (dir_ / "fleet_queue.nnrq").string();
+  FleetQueue queue(snapshot);
+  std::vector<FleetWorkItem> items(4000);
+  for (std::uint64_t i = 0; i < items.size(); ++i) {
+    items[i] = {CellKey{i + 1, 7}, "fig2", static_cast<std::uint32_t>(i), 0};
+  }
+  queue.submit(items, nullptr);
+
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    for (int i = 0; i < 200; ++i) queue.persist();
+    writing = false;
+  });
+  std::int64_t removed = 0;
+  int passes = 0;
+  while (writing) {
+    removed += cache.gc().removed_tmp;
+    ++passes;
+  }
+  writer.join();
+  EXPECT_GT(passes, 0);
+  EXPECT_EQ(removed, 0) << "gc() swept a live queue's snapshot temp file";
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_FALSE(serialize::is_temp_name(entry.path().filename().string()))
+        << entry.path();
+  }
+  FleetQueue restored(snapshot);
+  restored.load();
+  EXPECT_EQ(restored.total(), items.size());
 }
 
 TEST_F(FsCacheBackendTest, GcEvictsToBudgetAndCompactsTheJournal) {

@@ -4,15 +4,11 @@
 #include "serialize/run_result.h"
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
 namespace nnr::serialize {
 namespace {
-
-namespace fs = std::filesystem;
 
 core::RunResult sample_result() {
   core::RunResult r;
@@ -26,26 +22,10 @@ core::RunResult sample_result() {
   return r;
 }
 
-class RunResultTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = (fs::temp_directory_path() /
-             ("nnr_run_result_test_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name())))
-                .string();
-    fs::remove(path_);
-  }
-  void TearDown() override { fs::remove(path_); }
-
-  std::string path_;
-};
-
-TEST_F(RunResultTest, RoundTripIsBitwiseLossless) {
+TEST(RunResultTest, RoundTripIsBitwiseLossless) {
   const core::RunResult original = sample_result();
-  save_run_result(path_, original, 0x1234, 0x5678);
-  const core::RunResult loaded = load_run_result(path_, 0x1234, 0x5678);
+  const core::RunResult loaded = decode_run_result(
+      encode_run_result(original, 0x1234, 0x5678), 0x1234, 0x5678, "<test>");
   EXPECT_EQ(loaded.test_predictions, original.test_predictions);
   // Vector equality on floats is bitwise-adjacent but -0.0 == 0.0; compare
   // the raw bit patterns to enforce the stronger contract.
@@ -61,68 +41,52 @@ TEST_F(RunResultTest, RoundTripIsBitwiseLossless) {
   EXPECT_EQ(loaded.final_train_loss, original.final_train_loss);
 }
 
-TEST_F(RunResultTest, SaveReturnsTheExactFileSize) {
-  const std::uint64_t bytes = save_run_result(path_, sample_result(), 1, 2);
-  EXPECT_EQ(bytes, fs::file_size(path_))
-      << "cache byte accounting relies on the serializer's count";
+// Pins the documented layout: magic, two key words, three length-prefixed
+// arrays, two doubles, the checksum trailer — and nothing else.
+TEST(RunResultTest, EncodingHasTheDocumentedLayout) {
+  const std::string bytes = encode_run_result(sample_result(), 1, 2);
+  EXPECT_EQ(bytes.substr(0, 8), "NNRRSLT1");
+  EXPECT_EQ(bytes.size(), 8u + 16u + (8u + 5u * 4u) + (8u + 5u * 4u) +
+                              (8u + 2u * 4u) + 16u + 8u);
 }
 
-TEST_F(RunResultTest, EmptyVectorsRoundTrip) {
+TEST(RunResultTest, EmptyVectorsRoundTrip) {
   const core::RunResult empty;
-  save_run_result(path_, empty, 1, 2);
-  const core::RunResult loaded = load_run_result(path_, 1, 2);
+  const core::RunResult loaded =
+      decode_run_result(encode_run_result(empty, 1, 2), 1, 2, "<test>");
   EXPECT_TRUE(loaded.test_predictions.empty());
   EXPECT_TRUE(loaded.final_weights.empty());
 }
 
-TEST_F(RunResultTest, KeyMismatchThrows) {
-  save_run_result(path_, sample_result(), 0x1234, 0x5678);
-  EXPECT_THROW(load_run_result(path_, 0x1234, 0x9999), CheckpointError);
-  EXPECT_THROW(load_run_result(path_, 0x9999, 0x5678), CheckpointError);
+TEST(RunResultTest, KeyMismatchThrows) {
+  const std::string bytes = encode_run_result(sample_result(), 0x1234, 0x5678);
+  EXPECT_THROW((void)decode_run_result(bytes, 0x1234, 0x9999, "<test>"),
+               CheckpointError);
+  EXPECT_THROW((void)decode_run_result(bytes, 0x9999, 0x5678, "<test>"),
+               CheckpointError);
 }
 
-TEST_F(RunResultTest, MissingFileThrows) {
-  EXPECT_THROW(load_run_result(path_, 1, 2), CheckpointError);
+TEST(RunResultTest, TruncationThrows) {
+  const std::string bytes = encode_run_result(sample_result(), 1, 2);
+  EXPECT_THROW(
+      (void)decode_run_result(bytes.substr(0, bytes.size() / 2), 1, 2, "<t>"),
+      CheckpointError);
 }
 
-TEST_F(RunResultTest, TruncationThrows) {
-  save_run_result(path_, sample_result(), 1, 2);
-  fs::resize_file(path_, fs::file_size(path_) / 2);
-  EXPECT_THROW(load_run_result(path_, 1, 2), CheckpointError);
+TEST(RunResultTest, BitFlipThrows) {
+  std::string bytes = encode_run_result(sample_result(), 1, 2);
+  bytes[40] = static_cast<char>(bytes[40] ^ 1);
+  EXPECT_THROW((void)decode_run_result(bytes, 1, 2, "<test>"),
+               CheckpointError);
 }
 
-TEST_F(RunResultTest, BitFlipThrows) {
-  save_run_result(path_, sample_result(), 1, 2);
-  std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(40);
-  char c = 0;
-  f.read(&c, 1);
-  f.seekp(40);
-  c = static_cast<char>(c ^ 1);
-  f.write(&c, 1);
-  f.close();
-  EXPECT_THROW(load_run_result(path_, 1, 2), CheckpointError);
+TEST(RunResultTest, WrongMagicThrows) {
+  EXPECT_THROW(
+      (void)decode_run_result("NOTANNRFILE_PADDING_PADDING", 1, 2, "<test>"),
+      CheckpointError);
 }
 
-TEST_F(RunResultTest, WrongMagicThrows) {
-  std::ofstream(path_, std::ios::binary) << "NOTANNRFILE_PADDING_PADDING";
-  EXPECT_THROW(load_run_result(path_, 1, 2), CheckpointError);
-}
-
-// The wire/file duality the remote cache relies on: encode_run_result's
-// bytes ARE the file format, byte for byte, and decode accepts either.
-TEST_F(RunResultTest, EncodedBytesMatchTheFileExactly) {
-  const core::RunResult original = sample_result();
-  save_run_result(path_, original, 0x1234, 0x5678);
-  std::ifstream in(path_, std::ios::binary);
-  const std::string file_bytes((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-  const std::string encoded = encode_run_result(original, 0x1234, 0x5678);
-  EXPECT_EQ(encoded, file_bytes)
-      << "a PUT body must be storable verbatim as a cache file";
-}
-
-TEST_F(RunResultTest, DecodeRoundTripsInMemory) {
+TEST(RunResultTest, DecodeRoundTripsInMemory) {
   const core::RunResult original = sample_result();
   const std::string bytes = encode_run_result(original, 7, 8);
   const core::RunResult decoded = decode_run_result(bytes, 7, 8, "<test>");
@@ -133,7 +97,7 @@ TEST_F(RunResultTest, DecodeRoundTripsInMemory) {
                CheckpointError);
 }
 
-TEST_F(RunResultTest, ValidateRunResultBytesChecksEverything) {
+TEST(RunResultTest, ValidateRunResultBytesChecksEverything) {
   const std::string bytes = encode_run_result(sample_result(), 7, 8);
   EXPECT_TRUE(validate_run_result_bytes(bytes, 7, 8));
   EXPECT_FALSE(validate_run_result_bytes(bytes, 7, 9)) << "wrong key";
