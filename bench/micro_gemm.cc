@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/env.h"
@@ -174,6 +175,49 @@ int main(int argc, char** argv) {
       record("gemm_tree_blocked_threads" + std::to_string(threads), threads,
              ns_per_step([&] { nnr::tensor::gemm_nt(a, b, c, tree); }, reps),
              variants[1].ref_ns);
+    }
+    nnr::runtime::ThreadPool::set_global_threads(0);
+  }
+
+  // --- GEMM at the studies' costliest shapes (m x n x k), single thread. ---
+  // The conv forwards and dcols read B as [k, n] (gemm_nn); the dW GEMM
+  // contracts over the pixels with B as [n, k] (gemm_nt), 40 lanes at 5120
+  // cores. Full size at any scale: these are the launches training makes.
+  {
+    struct StudyShape {
+      const char* name;
+      std::int64_t m, n, k;
+      bool b_kn;
+    };
+    const StudyShape shapes[] = {{"study_conv_fwd_c8", 8, 8192, 72, true},
+                                 {"study_conv_dcols_c8", 72, 8192, 8, true},
+                                 {"study_conv_fwd_c16", 16, 2048, 144, true},
+                                 {"study_conv_fwd_c32", 32, 512, 288, true},
+                                 {"study_conv_dw_c8", 8, 72, 8192, false}};
+    nnr::runtime::ThreadPool::set_global_threads(1);
+    for (const StudyShape& s : shapes) {
+      const Tensor a = random_tensor(Shape{s.m, s.k}, 9);
+      const Tensor b = random_tensor(
+          s.b_kn ? Shape{s.k, s.n} : Shape{s.n, s.k}, 10);
+      Tensor c(Shape{s.m, s.n});
+      const double flops = 2.0 * static_cast<double>(s.m) * s.n * s.k;
+      const std::string shape = dims({s.m, s.n, s.k});
+      for (const auto& [order, policy] :
+           {std::pair{"seq", &seq}, std::pair{"shuffled", &shuffled}}) {
+        const double ns = ns_per_step(
+            [&] {
+              if (s.b_kn) {
+                nnr::tensor::gemm_nn(a, b, c, *policy);
+              } else {
+                nnr::tensor::gemm_nt(a, b, c, *policy);
+              }
+            },
+            reps);
+        const std::string name = std::string(s.name) + "_" + order;
+        rows.push_back({name, shape, 1, ns, flops / ns, 0.0});
+        std::printf("%-28s %s  %10.0f ns  %6.2f GFLOP/s  threads=1\n",
+                    name.c_str(), shape.c_str(), ns, flops / ns);
+      }
     }
     nnr::runtime::ThreadPool::set_global_threads(0);
   }

@@ -1,5 +1,6 @@
 #include "net/fault_injector.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -128,20 +129,35 @@ std::optional<FaultSpec> FaultSpec::parse(std::string_view text) {
 }
 
 std::string FaultSpec::to_string() const {
-  // Probabilities print with six decimals, trailing zeros trimmed —
-  // matching parse_prob's digit-by-digit accumulation so a value that came
-  // out of parse() survives the round trip bit-exactly (same digits in,
-  // same accumulation back). snprintf with an explicit precision is
-  // locale-independent for the digits themselves; the grammar never
-  // contains a decimal comma because %.*f's separator is locale-dependent
-  // only via LC_NUMERIC, which this repo never sets.
+  // A probability prints as the shortest fixed-notation digits that
+  // parse_prob's digit-by-digit accumulation maps back to the same double,
+  // so a value that came out of parse() survives the round trip bit-exactly
+  // however fine it is (a tiny armed fault never logs as "0"). A value no
+  // decimal string parses to exactly (a hand-built 1/3) prints as the
+  // closest one. The grammar has no exponent form, hence fixed notation and
+  // up to 330 decimals, enough for the smallest subnormal. snprintf's
+  // digits are locale-independent; only the separator follows LC_NUMERIC,
+  // which this repo never sets.
   const auto prob = [](double p) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f", p);
-    std::string s(buf);
-    while (!s.empty() && s.back() == '0') s.pop_back();
-    if (!s.empty() && s.back() == '.') s.pop_back();
-    return s;
+    constexpr int kMaxDecimals = 330;
+    std::string best;
+    double best_err = 2.0;
+    for (int decimals = 0; decimals <= kMaxDecimals; ++decimals) {
+      char buf[kMaxDecimals + 8];
+      std::snprintf(buf, sizeof(buf), "%.*f", decimals, p);
+      std::string s(buf);
+      if (decimals > 0) {
+        while (s.back() == '0') s.pop_back();
+        if (s.back() == '.') s.pop_back();
+      }
+      const double back = parse_prob(s).value_or(-1.0);
+      if (back == p) return s;
+      if (std::abs(back - p) < best_err) {
+        best_err = std::abs(back - p);
+        best = std::move(s);
+      }
+    }
+    return best;
   };
   std::string out;
   const auto add = [&out](const std::string& token) {

@@ -62,8 +62,9 @@ struct FaultSpec {
   /// The spec back in grammar form, canonically: only effective fields are
   /// emitted (a fault with probability 0, a delay that can never fire, or
   /// seed 0 all disappear), delay is `delay_ms=D` when its probability is
-  /// 1, probabilities carry at most six decimal places. The law the tests
-  /// hold this to: parse(to_string()) reproduces every effective field, so
+  /// 1, a probability prints as the shortest fixed-notation digits that
+  /// parse back to the same double. The law the tests hold this to:
+  /// parse(to_string()) reproduces every effective field, so
   /// a logged spec can be replayed verbatim. An all-defaults spec prints
   /// as "" (which parse() accepts as the no-fault spec).
   [[nodiscard]] std::string to_string() const;

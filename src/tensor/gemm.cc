@@ -26,16 +26,29 @@ namespace {
 //     kSequential, this launch's shuffled retirement order for
 //     kShardedShuffled).
 // What changes is only the *schedule*: a kMr x kNr register tile shares every
-// A load across kNr columns and every packed-B load across kMr rows, and
-// host threads split the output into (panel group, row chunk) tasks. Neither
+// A load across kNr columns and every B load across kMr rows, and host
+// threads split the output into (panel group, row chunk) tasks. Neither
 // affects any per-element floating-point order, so the result is bitwise
 // equal to the reference loop. The shuffle itself is drawn once per launch
 // by make_plan, before dispatch, so the scheduler-entropy stream advances
 // the same way under either kernel.
+//
+// kNr = 16 under AVX-512, else 8: the host's vector width in floats. Full
+// [k, n] panels are read in place (row stride n); only the partial last
+// panel and the [n, k] form are packed. Full single-lane tiles are stored
+// directly into C. Vector lanes are independent output columns, so neither
+// the width nor where a panel or tile lives changes any element's bits.
 // ---------------------------------------------------------------------------
 
-constexpr std::int64_t kMr = 4;  // output rows per register tile
-constexpr std::int64_t kNr = 8;  // output cols per register tile
+// Output rows per register tile. The 4 accumulator banks x kMr rows stay in
+// registers: 16 vectors at kMr = 4, while kMr = 8 would take all 32 of
+// AVX-512's and spill.
+constexpr std::int64_t kMr = 4;
+#if defined(__AVX512F__)
+constexpr std::int64_t kNr = 16;  // output cols per register tile
+#else
+constexpr std::int64_t kNr = 8;
+#endif
 constexpr std::int64_t kTileElems = kMr * kNr;
 
 // B operand of one launch: element (kk, j) of the contraction sits at
@@ -47,23 +60,17 @@ struct BOperand {
   std::int64_t k_stride;
 };
 
-// Packs output columns [j0, j0 + cols) of B into panels, panel p laid out
-// dst[(p * k + kk) * kNr + jj] so the micro-kernel's inner loop loads one
-// contiguous vector per k step. Columns past `cols` are zero-filled: a partial
-// last panel then runs through the same micro-kernel, and its padded columns
-// are never stored. Either B layout packs to the same panels, which is why
-// gemm_nn needs no transposed copy of B; from [k, n] the full panels fill in
-// storage order, one row run per k. Pure data movement — no arithmetic.
+// Packs the panels of output columns [j0, j0 + cols) that cannot be read in
+// place, panel p laid out dst[(p * k + kk) * kNr + jj] so the micro-kernel's
+// inner loop loads one contiguous vector per k step. From [k, n] that is only
+// a partial last panel; from [n, k] it is every panel. Columns past `cols`
+// are zero-filled: a partial last panel then runs through the same
+// micro-kernel, and its padded columns are never stored. Pure data movement —
+// no arithmetic.
 void pack_b(const BOperand& b, std::int64_t k, std::int64_t j0,
             std::int64_t cols, float* dst) noexcept {
-  const std::int64_t full = b.col_stride == 1 ? cols / kNr : 0;
-  for (std::int64_t kk = 0; full > 0 && kk < k; ++kk) {
-    const float* src = b.data + kk * b.k_stride + j0;
-    for (std::int64_t p = 0; p < full; ++p) {
-      std::memcpy(dst + (p * k + kk) * kNr, src + p * kNr, sizeof(float[kNr]));
-    }
-  }
-  for (std::int64_t p = full; p * kNr < cols; ++p) {
+  for (std::int64_t p = b.col_stride == 1 ? cols / kNr : 0; p * kNr < cols;
+       ++p) {
     const float* b0 = b.data + (j0 + p * kNr) * b.col_stride;
     const std::int64_t nr = std::min(kNr, cols - p * kNr);
     for (std::int64_t kk = 0; kk < k; ++kk) {
@@ -78,11 +85,13 @@ void pack_b(const BOperand& b, std::int64_t k, std::int64_t j0,
 
 // Partial dot products of a kMr x kNr tile over the k-range [begin, end),
 // reproducing unrolled_dot's accumulation order independently per element.
-// `a` is the tile's first A row (rows `lda` apart); `bp` the packed panel.
+// `a` is the tile's first A row (rows `lda` apart); `bp` the panel's row 0
+// (rows `ldb` apart: kNr when packed, n when read in place from [k, n]);
+// `out` the tile's first output row (rows `ldc` apart).
 //
-// The kNr-wide column axis is one 8-lane vector: one mul + one add per lane,
-// no horizontal operations, so every output element still sees exactly the
-// scalar sequence
+// The kNr-wide column axis is one kNr-lane vector: one mul + one add per
+// lane, no horizontal operations, so every output element still sees exactly
+// the scalar sequence
 //   acc_u += a[i+u] * b[i+u]  (u = i mod 4), (acc0+acc1)+(acc2+acc3), tail.
 // Lane arithmetic is IEEE float32 identical to the scalar ops — the
 // vectorization changes which elements are computed together, never the
@@ -90,58 +99,60 @@ void pack_b(const BOperand& b, std::int64_t k, std::int64_t j0,
 // project-wide via -ffp-contract=off, so mul+add stays two roundings in
 // both the reference and the blocked engine.)
 #if defined(__GNUC__) || defined(__clang__)
-using v8f = float __attribute__((vector_size(8 * sizeof(float))));
+using vecf = float __attribute__((vector_size(kNr * sizeof(float))));
 #else
 // Portable stand-in for the GNU vector type: the same lane-wise operations.
-struct v8f {
-  float lane[8] = {};
-  friend v8f operator+(v8f x, const v8f& y) noexcept {
-    for (int j = 0; j < 8; ++j) x.lane[j] += y.lane[j];
+struct vecf {
+  float lane[kNr] = {};
+  friend vecf operator+(vecf x, const vecf& y) noexcept {
+    for (std::int64_t j = 0; j < kNr; ++j) x.lane[j] += y.lane[j];
     return x;
   }
-  friend v8f operator*(float s, v8f y) noexcept {
+  friend vecf operator*(float s, vecf y) noexcept {
     for (float& e : y.lane) e = s * e;
     return y;
   }
-  v8f& operator+=(const v8f& y) noexcept { return *this = *this + y; }
+  vecf& operator+=(const vecf& y) noexcept { return *this = *this + y; }
 };
 #endif
 
-inline v8f load8(const float* p) noexcept {
-  v8f v;
+inline vecf load_vec(const float* p) noexcept {
+  vecf v;
   std::memcpy(&v, p, sizeof(v));  // unaligned, strict-aliasing safe
   return v;
 }
 
-inline void store8(float* p, v8f v) noexcept { std::memcpy(p, &v, sizeof(v)); }
+inline void store_vec(float* p, vecf v) noexcept {
+  std::memcpy(p, &v, sizeof(v));
+}
 
 void micro_tile(const float* a, std::int64_t lda, const float* bp,
-                std::int64_t begin, std::int64_t end,
-                float out[kTileElems]) noexcept {
-  v8f acc[4][kMr];
+                std::int64_t ldb, std::int64_t begin, std::int64_t end,
+                float* out, std::int64_t ldc) noexcept {
+  vecf acc[4][kMr];
   for (auto& bank : acc) {
-    for (v8f& v : bank) v = v8f{};
+    for (vecf& v : bank) v = vecf{};
   }
   std::int64_t i = begin;
   for (; i + 4 <= end; i += 4) {
     for (int u = 0; u < 4; ++u) {
-      const v8f brow = load8(bp + (i + u) * kNr);
+      const vecf brow = load_vec(bp + (i + u) * ldb);
       for (std::int64_t r = 0; r < kMr; ++r) {
         acc[u][r] += a[r * lda + i + u] * brow;
       }
     }
   }
-  v8f res[kMr];
+  vecf res[kMr];
   for (std::int64_t r = 0; r < kMr; ++r) {
     res[r] = (acc[0][r] + acc[1][r]) + (acc[2][r] + acc[3][r]);
   }
   for (; i < end; ++i) {
-    const v8f brow = load8(bp + i * kNr);
+    const vecf brow = load_vec(bp + i * ldb);
     for (std::int64_t r = 0; r < kMr; ++r) {
       res[r] += a[r * lda + i] * brow;
     }
   }
-  for (std::int64_t r = 0; r < kMr; ++r) store8(out + r * kNr, res[r]);
+  for (std::int64_t r = 0; r < kMr; ++r) store_vec(out + r * ldc, res[r]);
 }
 
 // The seed kernel body: one reduce_dot_strided per output element. It defines
@@ -198,9 +209,10 @@ void gemm_blocked(const float* pa, const BOperand& b, float* pc,
   const int lanes = plan.lanes();
   const std::int64_t panels = (n + kNr - 1) / kNr;
   const std::int64_t row_blocks = (m + kMr - 1) / kMr;
-  // A task packs a group of consecutive panels (as many as fit the budget,
-  // at least one) and runs its chunk of row blocks against them. Rows split
-  // only as far as needed to give every pool thread a few tasks.
+  // A task takes a group of consecutive panels (as many as fit the budget,
+  // at least one), packs those it cannot read in place, and runs its chunk
+  // of row blocks against them. Rows split only as far as needed to give
+  // every pool thread a few tasks.
   const std::int64_t group = std::clamp<std::int64_t>(
       kPackBudget / std::max<std::int64_t>(1, k * kNr), 1, panels);
   const std::int64_t groups = (panels + group - 1) / group;
@@ -248,23 +260,32 @@ void gemm_blocked(const float* pa, const BOperand& b, float* pc,
           a = a_pad;
         }
         for (std::int64_t jb = jb_begin; jb < jb_end; ++jb) {
-          const float* panel = packed + (jb - jb_begin) * panel_elems;
+          const std::int64_t j0 = jb * kNr;
+          const std::int64_t nr = std::min(kNr, n - j0);
+          // A full panel of [k, n] B is read in place; any other is packed.
+          const bool in_place = b.col_stride == 1 && nr == kNr;
+          const float* panel = in_place
+                                   ? b.data + j0
+                                   : packed + (jb - jb_begin) * panel_elems;
+          const std::int64_t ldb = in_place ? b.k_stride : kNr;
+          float* c0 = pc + i0 * n + j0;
+          if (lanes == 1 && mr == kMr && nr == kNr) {
+            micro_tile(a, k, panel, ldb, 0, k, c0, n);
+            continue;
+          }
           float tile[kTileElems];
           if (lanes == 1) {
-            micro_tile(a, k, panel, 0, k, tile);
+            micro_tile(a, k, panel, ldb, 0, k, tile, kNr);
           } else {
             for (int l = 0; l < lanes; ++l) {
               const auto [cb, ce] = lane_range(l, lanes, k);
-              micro_tile(a, k, panel, cb, ce,
-                         lane_buf + std::int64_t{l} * kTileElems);
+              micro_tile(a, k, panel, ldb, cb, ce,
+                         lane_buf + std::int64_t{l} * kTileElems, kNr);
             }
             combine_lanes(plan, lane_buf, tile);
           }
-          const std::int64_t j0 = jb * kNr;
-          const std::int64_t nr = std::min(kNr, n - j0);
           for (std::int64_t r = 0; r < mr; ++r) {
-            std::copy(tile + r * kNr, tile + r * kNr + nr,
-                      pc + (i0 + r) * n + j0);
+            std::copy(tile + r * kNr, tile + r * kNr + nr, c0 + r * n);
           }
         }
       }

@@ -9,11 +9,12 @@
 // Layout convention: the canonical kernel is gemm_nt,
 //     C[M, N] = A[M, K] · B[N, K]^T
 // i.e. both operands are row-major with the contraction axis K contiguous.
-// gemm_nn takes B as [K, N] instead; the engine packs B into panels either
-// way, so callers hand over whichever layout they hold rather than building
-// a transposed copy. The convolutions' [C*K*K, N*OH*OW] patch matrix
-// (tensor/im2col.h) is such a [K, N] operand: a full panel of it packs as one
-// contiguous row copy per k.
+// gemm_nn takes B as [K, N] instead. The engine consumes B in kNr-column
+// panels (kNr = 16 under AVX-512, else 8): full [K, N] panels are read in
+// place with row stride N, and only the partial last panel and the [N, K]
+// form are packed, so callers hand over whichever layout they hold rather
+// than building a transposed copy. The convolutions' [C*K*K, N*OH*OW] patch
+// matrix (tensor/im2col.h) is such a [K, N] operand.
 #pragma once
 
 #include <cstdint>
@@ -39,20 +40,24 @@ struct KernelPolicy {
 
 /// C[M, N] = A[M, K] · B[N, K]^T. C must be preallocated with shape {M, N}.
 ///
-/// Dispatch: every accumulation order runs one register-blocked, B-panel-
-/// packed, host-threaded engine, bitwise identical to gemm_nt_reference by
-/// construction — same lane partition, same unrolled accumulator order, same
-/// per-element lane combine (the fixed tree, or this launch's shuffled lane
-/// order); threading only distributes whole output elements. The shuffle is
-/// drawn once per launch before dispatch, so the entropy stream advances as
-/// under the reference loop. Launches with fewer outputs than one register
-/// tile run the reference loop itself.
+/// Dispatch: every accumulation order runs one register-blocked, host-
+/// threaded engine, bitwise identical to gemm_nt_reference by construction —
+/// same lane partition, same unrolled accumulator order, same per-element
+/// lane combine (the fixed tree, or this launch's shuffled lane order);
+/// threading only distributes whole output elements. The register tile is
+/// 4 x kNr, kNr = 16 under AVX-512, else 8; its columns are independent
+/// vector lanes, so the width moves no bit. Full [K, N] panels are read in
+/// place, others are packed, and full single-lane tiles are stored directly
+/// into C. The shuffle is drawn once per launch before dispatch, so the
+/// entropy stream advances as under the reference loop. Launches with fewer
+/// outputs than one register tile run the reference loop itself.
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c,
              const KernelPolicy& policy);
 
 /// C[M, N] = A[M, K] · B[K, N], with B row-major [K, N]. Bitwise equal to
-/// gemm_nt(a, transpose(b)) for every policy: the panel pack reads B in
-/// place, so no transposed copy is materialized.
+/// gemm_nt(a, transpose(b)) for every policy: full panels of B are read in
+/// place and a partial last one is packed, so no transposed copy is
+/// materialized.
 void gemm_nn(const Tensor& a, const Tensor& b, Tensor& c,
              const KernelPolicy& policy);
 

@@ -146,6 +146,45 @@ TEST(FaultSpecTest, ToStringOfHandBuiltSpecsRoundTrips) {
             "drop=0.125,corrupt=0.0625,reset=0.25,delay_ms=7:0.5,seed=65261");
 }
 
+// A probability finer than six decimals is still an armed fault: its logged
+// form must parse back to the same double, never to a disarmed spec.
+TEST(FaultSpecTest, TinyProbabilitiesRoundTripExactly) {
+  const char* probs[] = {"0.0000001", "0.00000049", "0.0000005",
+                         "0.000000123456789", "0.0000000000000000000001",
+                         "0.9999999"};
+  const char* fields[] = {"drop=", "corrupt=", "reset=", "delay_ms=3:"};
+  for (const char* field : fields) {
+    for (const char* p : probs) {
+      const std::string text = std::string(field) + p;
+      const auto spec = FaultSpec::parse(text);
+      ASSERT_TRUE(spec.has_value()) << text;
+      ASSERT_TRUE(spec->any()) << text;
+      const std::string printed = spec->to_string();
+      const auto back = FaultSpec::parse(printed);
+      ASSERT_TRUE(back.has_value()) << text << " printed as " << printed;
+      EXPECT_TRUE(back->any()) << text << " printed as " << printed;
+      // Bitwise, not within a few ulps: the same double comes back.
+      EXPECT_EQ(back->drop, spec->drop) << text << " -> " << printed;
+      EXPECT_EQ(back->corrupt, spec->corrupt) << text << " -> " << printed;
+      EXPECT_EQ(back->reset, spec->reset) << text << " -> " << printed;
+      EXPECT_EQ(back->delay_prob, spec->delay_prob)
+          << text << " -> " << printed;
+      EXPECT_EQ(back->to_string(), printed);
+    }
+  }
+  // Hand-built doubles that no decimal string may parse to exactly still
+  // keep their fault armed, at the nearest value the grammar can express
+  // (parse_prob's accumulation drifts by a few hundred ulps at 300 places).
+  for (const double p : {1e-7, 3e-9, 1e-300}) {
+    FaultSpec spec;
+    spec.drop = p;
+    const auto back = FaultSpec::parse(spec.to_string());
+    ASSERT_TRUE(back.has_value()) << spec.to_string();
+    EXPECT_TRUE(back->any()) << spec.to_string();
+    EXPECT_NEAR(back->drop, p, p * 1e-12) << spec.to_string();
+  }
+}
+
 // ----------------------------------------------------------- determinism
 
 FaultSpec chaos_spec(std::uint64_t seed) {

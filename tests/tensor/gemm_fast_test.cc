@@ -42,9 +42,9 @@ struct GemmCase {
 };
 
 // Awkward shapes on purpose: k = 0 (below and above the tile-sized cutoff),
-// k below the 4-wide unroll, k with a remainder, m/n off the 4x8 tile grid,
-// row and column vectors, one comfortably blocked shape, and one whose B
-// packs in two panel groups, the second ending in a partial panel.
+// k below the 4-wide unroll, k with a remainder, m/n off the register tile
+// grid, row and column vectors, one comfortably blocked shape, and one whose
+// B packs in two panel groups, the second ending in a partial panel.
 const GemmCase kCases[] = {
     {1, 1, 0},     {8, 8, 0},    {3, 5, 1},    {4, 8, 3},
     {5, 7, 5},     {16, 24, 32}, {13, 17, 129}, {33, 9, 257},
@@ -150,6 +150,65 @@ TEST(GemmNn, InvariantToHostThreadCount) {
             {.order = order, .cuda_cores = 5120, .entropy = &entropy4});
     runtime::ThreadPool::set_global_threads(0);
     expect_bitwise_equal(c1, c4, "gemm_nn across NNR_THREADS");
+  }
+}
+
+// Shapes aimed at the engine's register-tile paths at the AVX-512 width
+// (kMr = 4, kNr = 16); at width 8 they land on the same paths or on full
+// panels. gemm_nn reads full [k, n] panels in place; gemm_nt packs them.
+struct TilePathCase {
+  const char* path;
+  std::int64_t m, n, k;
+};
+
+const TilePathCase kTilePathCases[] = {
+    // m % 4 == 0, n % 16 == 0: every tile full, stored straight into C
+    // when single-lane.
+    {"full in-place panels, direct store", 8, 32, 72},
+    // n % 16 == 8: a partial last panel at width 16, a full one at width 8.
+    {"partial last panel at width 16", 8, 40, 72},
+    // k = 320 splits into 10 lanes at 5120 cores: lane partials combine
+    // over in-place panels.
+    {"multi-lane over in-place panels", 8, 48, 320},
+    // m % 4 == 2: a zero-padded row block over in-place panels.
+    {"short row block over in-place panels", 6, 32, 72},
+};
+
+TEST(GemmFastPath, TilePathsBitwiseEqualToReferenceAllOrders) {
+  const AccumOrder orders[] = {AccumOrder::kSequential,
+                               AccumOrder::kPairwiseTree,
+                               AccumOrder::kShardedShuffled};
+  for (const TilePathCase& c : kTilePathCases) {
+    const Tensor a = random_tensor(Shape{c.m, c.k}, 17 + c.m);
+    const Tensor b_kn = random_tensor(Shape{c.k, c.n}, 31 + c.n);
+    Tensor b_nk(Shape{c.n, c.k});
+    transpose(b_kn, b_nk);
+    for (AccumOrder order : orders) {
+      for (int cores : {0, 5120}) {
+        SCOPED_TRACE(testing::Message()
+                     << c.path << ": m=" << c.m << " n=" << c.n << " k=" << c.k
+                     << " order=" << static_cast<int>(order)
+                     << " cores=" << cores);
+        rng::Generator entropy_nn(5 + c.k);
+        rng::Generator entropy_nt(5 + c.k);
+        rng::Generator entropy_ref(5 + c.k);
+        Tensor nn(Shape{c.m, c.n});
+        Tensor nt(Shape{c.m, c.n});
+        Tensor ref(Shape{c.m, c.n});
+        gemm_nn(a, b_kn, nn,
+                {.order = order, .cuda_cores = cores, .entropy = &entropy_nn});
+        gemm_nt(a, b_nk, nt,
+                {.order = order, .cuda_cores = cores, .entropy = &entropy_nt});
+        gemm_nt_reference(
+            a, b_nk, ref,
+            {.order = order, .cuda_cores = cores, .entropy = &entropy_ref});
+        expect_bitwise_equal(nn, ref, "gemm_nn");
+        expect_bitwise_equal(nt, ref, "gemm_nt");
+        const std::uint32_t next = entropy_ref.next_u32();
+        ASSERT_EQ(entropy_nn.next_u32(), next);
+        ASSERT_EQ(entropy_nt.next_u32(), next);
+      }
+    }
   }
 }
 
